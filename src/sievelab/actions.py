@@ -15,15 +15,15 @@ symmetric family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .polygons import (
     SOLID, DOTTED,
-    AEdge, CDiameter, CSegregated, CIntegrated,
+    CDiameter, CSegregated, CIntegrated,
     DDiameter, DPairSeg, DPairInt,
-    Multidissection, edge_chords, edge_universe, enumerate_multidissections,
+    Multidissection, edge_chords, edge_index, edge_universe,
+    enumerate_multidissections, polygon_size,
 )
 
 
@@ -47,92 +47,98 @@ def resolve_step(family: str, generator_step: int | None) -> int:
     return 1
 
 
-def _shift_pair_once(n: int, segregated: bool, a: int, b: int):
-    """One vertex step for a centrally symmetric nondiameter pair with
-    indices a < b, returning (segregated', a', b')."""
-    if b < n:
-        return (segregated, a + 1, b + 1)
-    # index b sits at the seam: the pair flips kind and restarts at 1
-    return (not segregated, 1, a + 1)
+@lru_cache(maxsize=None)
+def _generator(family: str, n: int, step: int) -> tuple[int, ...]:
+    """The generator as a permutation of edge indices: every constituent
+    chord turns by `step` vertices and, in the colored families, every
+    diameter swaps color."""
+    edges = edge_universe(family, n)
+    m = polygon_size(family, n)
+    swap = {SOLID: DOTTED, DOTTED: SOLID}
+
+    def chords(e, shift):
+        return frozenset(tuple(sorted(((u + shift) % m, (v + shift) % m)))
+                         for u, v in edge_chords(family, n, e))
+
+    lookup = {(chords(e, 0), getattr(e, "color", None)): i
+              for i, e in enumerate(edges)}
+    return tuple(lookup[chords(e, step), swap.get(getattr(e, "color", None))]
+                 for e in edges)
 
 
-def _rotate_once(family: str, n: int, e):
-    if isinstance(e, AEdge):
-        i = e.i + 1 if e.i < n else 1
-        j = e.j + 1 if e.j < n else 1
-        return AEdge(min(i, j), max(i, j))
-    if isinstance(e, CDiameter):
-        return CDiameter(e.a + 1 if e.a < n else 1)
-    if isinstance(e, DDiameter):
-        a = e.a + 1 if e.a < n else 1
-        return DDiameter(a, DOTTED if e.color == SOLID else SOLID)
-    if isinstance(e, CSegregated):
-        seg, a, b = _shift_pair_once(n, True, e.a, e.b)
-        return CSegregated(a, b) if seg else CIntegrated(a, b)
-    if isinstance(e, CIntegrated):
-        seg, a, b = _shift_pair_once(n, False, e.a, e.b)
-        return CSegregated(a, b) if seg else CIntegrated(a, b)
-    if isinstance(e, DPairSeg):
-        seg, a, b = _shift_pair_once(n, True, e.a, e.b)
-        return DPairSeg(a, b) if seg else DPairInt(a, b)
-    if isinstance(e, DPairInt):
-        seg, a, b = _shift_pair_once(n, False, e.a, e.b)
-        return DPairSeg(a, b) if seg else DPairInt(a, b)
-    raise TypeError("not an edge: %r" % (e,))
+def _permutation(family: str, n: int, d: int,
+                 generator_step: int | None) -> tuple[int, ...]:
+    """generator^d as a permutation of edge indices."""
+    if d < 0:
+        raise ValueError("power must be >= 0")
+    gen = _generator(family, n, resolve_step(family, generator_step))
+    perm = tuple(range(len(gen)))
+    for _ in range(d):
+        perm = tuple(gen[i] for i in perm)
+    return perm
 
 
 def rotate_edge(family: str, n: int, e, generator_step: int | None = None):
     """One application of the family's generator to a single edge."""
-    out = e
-    for _ in range(resolve_step(family, generator_step)):
-        out = _rotate_once(family, n, out)
-    return out
+    index = edge_index(family, n)
+    if e not in index:
+        raise ValueError("edge %r is not valid for family %s, n=%d"
+                         % (e, family, n))
+    gen = _generator(family, n, resolve_step(family, generator_step))
+    return edge_universe(family, n)[gen[index[e]]]
 
 
 @lru_cache(maxsize=None)
 def rotation_edge_map(family: str, n: int, d: int,
                       generator_step: int | None = None) -> tuple:
     """Pairs (edge, generator^d(edge)) over the whole edge universe."""
-    if d < 0:
-        raise ValueError("power must be >= 0")
     edges = edge_universe(family, n)
-    images = list(edges)
-    for _ in range(d):
-        images = [rotate_edge(family, n, e, generator_step) for e in images]
-    return tuple(zip(edges, images))
+    perm = _permutation(family, n, d, generator_step)
+    return tuple((e, edges[j]) for e, j in zip(edges, perm))
 
 
 def rotate_multidissection(md: Multidissection, d: int = 1,
                            generator_step: int | None = None) -> Multidissection:
-    emap = dict(rotation_edge_map(md.family, md.n, d, generator_step))
+    edges = edge_universe(md.family, md.n)
+    perm = _permutation(md.family, md.n, d, generator_step)
     return Multidissection(md.family, md.n,
-                           {emap[e]: m for e, m in md.items()}, validate=False)
+                           {edges[perm[i]]: m for i, m in md.index_items()},
+                           validate=False)
 
 
 def is_fixed(md: Multidissection, d: int,
              generator_step: int | None = None) -> bool:
-    emap = dict(rotation_edge_map(md.family, md.n, d, generator_step))
-    return all(md.multiplicity(emap[e]) == m for e, m in md.items())
+    return rotate_multidissection(md, d, generator_step) == md
 
 
 @lru_cache(maxsize=None)
 def action_order(family: str, n: int, generator_step: int | None = None) -> int:
-    """Exact order of the generator on the full edge set, computed as the
-    lcm of its cycle lengths."""
-    emap = dict(rotation_edge_map(family, n, 1, generator_step))
-    order = 1
-    seen = set()
-    for start in emap:
-        if start in seen:
-            continue
-        length, cur = 1, emap[start]
-        seen.add(start)
-        while cur != start:
-            seen.add(cur)
-            cur = emap[cur]
-            length += 1
-        order = math.lcm(order, length)
+    """Exact order of the generator on the full edge set."""
+    gen = _generator(family, n, resolve_step(family, generator_step))
+    order, perm = 1, gen
+    while perm != tuple(range(len(gen))):
+        perm = tuple(gen[i] for i in perm)
+        order += 1
     return order
+
+
+def orbit_sizes(family: str, n: int, k: int,
+                generator_step: int | None = None) -> list[int]:
+    """Orbit size of every k-edge multidissection, in enumeration order.
+
+    Each object's (edge index, multiplicity) tuple is rotated until it
+    comes back; generator^d fixes an object exactly when its orbit size
+    divides d."""
+    gen = _generator(family, n, resolve_step(family, generator_step))
+    sizes = []
+    for md in enumerate_multidissections(family, n, k):
+        start = cur = md.index_items()
+        size = 0
+        while size == 0 or cur != start:
+            cur = tuple(sorted((gen[i], m) for i, m in cur))
+            size += 1
+        sizes.append(size)
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -162,14 +168,8 @@ class RotationAction:
 
 def count_fixed(family: str, n: int, k: int, d: int,
                 generator_step: int | None = None) -> int:
-    """Number of k-edge multidissections fixed by generator^d, by
-    filtering the full enumeration."""
-    emap = dict(rotation_edge_map(family, n, d, generator_step))
-    total = 0
-    for md in enumerate_multidissections(family, n, k):
-        if all(md.multiplicity(emap[e]) == m for e, m in md.items()):
-            total += 1
-    return total
+    """Number of k-edge multidissections fixed by generator^d."""
+    return sum(d % s == 0 for s in orbit_sizes(family, n, k, generator_step))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +317,9 @@ def unfold(n: int, d: int, g: Multidissection) -> Multidissection:
 
 def invariant_multidissections(family: str, n: int, k: int, d: int,
                                generator_step: int | None = None) -> list[Multidissection]:
-    emap = dict(rotation_edge_map(family, n, d, generator_step))
-    return [md for md in enumerate_multidissections(family, n, k)
-            if all(md.multiplicity(emap[e]) == m for e, m in md.items())]
+    sizes = orbit_sizes(family, n, k, generator_step)
+    return [md for md, s in zip(enumerate_multidissections(family, n, k), sizes)
+            if d % s == 0]
 
 
 def odd_power_correspondence(n: int, d: int, k: int) -> list[tuple[Multidissection, Multidissection]]:

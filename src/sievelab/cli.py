@@ -420,6 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError("--limit must be >= 0")
     return RunConfig(
         command=args.command,
         family=args.family,

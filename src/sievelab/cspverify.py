@@ -10,12 +10,12 @@ genuine integer identity, not a float coincidence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .actions import (
-    count_fixed, declared_group_order, fold_target_param,
-    invariant_multidissections, resolve_step, rotate_multidissection,
+    declared_group_order, fold_target_param, orbit_sizes, resolve_step,
 )
 from .polygons import enumerate_multidissections
 from .qseries import IntLaurentPoly, RootEvaluation, eval_at_unity_root
@@ -91,10 +91,11 @@ def verify(instance: CspInstance) -> CspReport:
     divisor checks for genuine cyclic actions but cheaply expose wrong
     generator orders.
     """
+    sizes = orbit_sizes(instance.family, instance.n, instance.k,
+                        instance.generator_step)
     checks = []
     for d in range(1, instance.group_order + 1):
-        fixed = count_fixed(instance.family, instance.n, instance.k, d,
-                            instance.generator_step)
+        fixed = sum(d % s == 0 for s in sizes)
         ev = eval_at_unity_root(instance.polynomial, instance.group_order, d)
         passed = ev.is_integer and ev.value == fixed
         checks.append(CspCheck(d, fixed, ev, passed))
@@ -139,25 +140,13 @@ def orbit_polynomial(family: str, n: int, k: int,
     orbits.  Orbit sizes are measured against the declared group order."""
     order = declared_group_order(family, n)
     coeffs = [0] * order
-    seen: set = set()
-    for md in enumerate_multidissections(family, n, k):
-        if md.key() in seen:
-            continue
-        orbit_size = 0
-        cur = md
-        while True:
-            seen.add(cur.key())
-            orbit_size += 1
-            cur = rotate_multidissection(cur, 1, generator_step)
-            if cur.key() == md.key():
-                break
-        if order % orbit_size:
+    for size, members in Counter(orbit_sizes(family, n, k, generator_step)).items():
+        if order % size:
             raise ArithmeticError("orbit size %d does not divide the group "
-                                  "order %d" % (orbit_size, order))
-        stab = order // orbit_size
-        for i in range(order):
-            if i == 0 or i % stab == 0:
-                coeffs[i] += 1
+                                  "order %d" % (size, order))
+        # members // size orbits, with stabilizer order order // size
+        for i in range(0, order, order // size):
+            coeffs[i] += members // size
     return IntLaurentPoly({i: c for i, c in enumerate(coeffs)})
 
 
@@ -205,11 +194,15 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
     """
     if n < 1:
         raise ValueError("needs n >= 1")
+    sizes = orbit_sizes("D", n, k)
+    # odd powers compare with centrally symmetric objects of half the
+    # edges, of which there are none at odd k
+    half_sizes = [] if k % 2 else orbit_sizes("C", n, k // 2)
     entries = []
     for d in range(1, 2 * n + 1):
         if (2 * n) % d:
             continue
-        fixed = count_fixed("D", n, k, d)
+        fixed = sum(d % s == 0 for s in sizes)
         if d % 2 == 0:
             p = fold_target_param(n, d)
             scaled = k * d // n if n % d == 0 else k * d // (2 * n)
@@ -218,10 +211,7 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
             entries.append(FoldingEntry(d, "even", fixed, expected,
                                         fixed == expected, p, scaled if exact else None))
         else:
-            if k % 2:
-                expected = 0
-            else:
-                expected = len(invariant_multidissections("C", n, k // 2, d))
+            expected = sum(d % s == 0 for s in half_sizes)
             entries.append(FoldingEntry(d, "odd", fixed, expected,
                                         fixed == expected))
     return FoldingReport(n, k, tuple(entries))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 FAMILIES = ("A", "C", "D", "classicalA", "classicalBC", "classicalD")
@@ -109,24 +110,6 @@ def edge_weight(family: str, e) -> int:
     return 1
 
 
-def edge_sort_key(e):
-    if isinstance(e, AEdge):
-        return (0, e.i, e.j, 0)
-    if isinstance(e, CDiameter):
-        return (0, e.a, 0, 0)
-    if isinstance(e, CSegregated):
-        return (1, e.a, e.b, 0)
-    if isinstance(e, CIntegrated):
-        return (2, e.a, e.b, 0)
-    if isinstance(e, DDiameter):
-        return (0, e.a, 0, 0 if e.color == SOLID else 1)
-    if isinstance(e, DPairSeg):
-        return (1, e.a, e.b, 0)
-    if isinstance(e, DPairInt):
-        return (2, e.a, e.b, 0)
-    raise TypeError("not an edge: %r" % (e,))
-
-
 def edge_chords(family: str, n: int, e) -> tuple[tuple[int, int], ...]:
     """Constituent chords as sorted 0-indexed vertex pairs."""
     base = _base_bc(family)
@@ -199,8 +182,14 @@ def edge_universe(family: str, n: int) -> tuple:
         edges += [DPairInt(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     if is_classical(family):
         edges = [e for e in edges if not is_boundary_edge(family, n, e)]
-    edges.sort(key=edge_sort_key)
     return tuple(edges)
+
+
+@lru_cache(maxsize=None)
+def edge_index(family: str, n: int) -> dict:
+    """Position of every edge in `edge_universe(family, n)`; canonical
+    edge order is the order of these indices."""
+    return {e: i for i, e in enumerate(edge_universe(family, n))}
 
 
 class Multidissection:
@@ -217,21 +206,22 @@ class Multidissection:
             self._validate()
 
     def _validate(self):
-        universe = set(edge_universe(self.family, self.n))
+        index = edge_index(self.family, self.n)
         classical = is_classical(self.family)
-        items = sorted(self._support.items(), key=lambda it: edge_sort_key(it[0]))
-        for e, m in items:
-            if e not in universe:
+        for e, m in self._support.items():
+            if e not in index:
                 raise ValueError("edge %r is not valid for family %s, n=%d"
                                  % (e, self.family, self.n))
             if m < 0:
                 raise ValueError("negative multiplicity on %r" % (e,))
             if classical and m > 1:
                 raise ValueError("classical families use multiplicity 0/1")
-        for idx, (e1, _) in enumerate(items):
-            for e2, _ in items[idx + 1:]:
-                if edges_cross(self.family, self.n, e1, e2):
-                    raise ValueError("crossing edges %r and %r" % (e1, e2))
+        crossing = _crossing_pairs(self.family, self.n)
+        for pair in combinations(sorted(index[e] for e in self._support), 2):
+            if pair in crossing:
+                edges = edge_universe(self.family, self.n)
+                raise ValueError("crossing edges %r and %r"
+                                 % (edges[pair[0]], edges[pair[1]]))
 
     @property
     def support(self) -> dict:
@@ -240,9 +230,15 @@ class Multidissection:
     def multiplicity(self, e) -> int:
         return self._support.get(e, 0)
 
+    def index_items(self) -> tuple:
+        """Support as (edge index, multiplicity) pairs in canonical order."""
+        index = edge_index(self.family, self.n)
+        return tuple(sorted((index[e], m) for e, m in self._support.items()))
+
     def items(self):
         """Support in canonical edge order."""
-        return sorted(self._support.items(), key=lambda it: edge_sort_key(it[0]))
+        edges = edge_universe(self.family, self.n)
+        return [(edges[i], m) for i, m in self.index_items()]
 
     def edge_count(self) -> int:
         return sum(m * edge_weight(self.family, e) for e, m in self._support.items())
@@ -250,8 +246,7 @@ class Multidissection:
     def key(self):
         """Hashable, totally ordered identity (family, n, sorted support)."""
         if self._key is None:
-            self._key = (self.family, self.n,
-                         tuple((edge_sort_key(e), m) for e, m in self.items()))
+            self._key = (self.family, self.n, self.index_items())
         return self._key
 
     def __eq__(self, other):

@@ -18,8 +18,10 @@ from sievelab.actions import (
     rotation_edge_map,
     unfold,
 )
+from sievelab.cspverify import theorem_instance, verify
 from sievelab.polygons import (
     DOTTED,
+    FAMILIES,
     SOLID,
     AEdge,
     CDiameter,
@@ -31,7 +33,75 @@ from sievelab.polygons import (
     Multidissection,
     edge_universe,
     enumerate_multidissections,
+    min_n,
 )
+
+
+# --- reference rotation and fixed-point filter ----------------------------------
+#
+# The library rotates edges through a permutation of edge indices and counts
+# fixed points from orbit sizes.  These are the per-class rotation ladder and
+# the enumerate-and-filter count it replaced, kept as independent oracles.
+
+def reference_shift_pair_once(n, segregated, a, b):
+    """One vertex step for a centrally symmetric nondiameter pair with
+    indices a < b, returning (segregated', a', b')."""
+    if b < n:
+        return (segregated, a + 1, b + 1)
+    # index b sits at the seam: the pair flips kind and restarts at 1
+    return (not segregated, 1, a + 1)
+
+
+def reference_rotate_once(family, n, e):
+    if isinstance(e, AEdge):
+        i = e.i + 1 if e.i < n else 1
+        j = e.j + 1 if e.j < n else 1
+        return AEdge(min(i, j), max(i, j))
+    if isinstance(e, CDiameter):
+        return CDiameter(e.a + 1 if e.a < n else 1)
+    if isinstance(e, DDiameter):
+        a = e.a + 1 if e.a < n else 1
+        return DDiameter(a, DOTTED if e.color == SOLID else SOLID)
+    if isinstance(e, CSegregated):
+        seg, a, b = reference_shift_pair_once(n, True, e.a, e.b)
+        return CSegregated(a, b) if seg else CIntegrated(a, b)
+    if isinstance(e, CIntegrated):
+        seg, a, b = reference_shift_pair_once(n, False, e.a, e.b)
+        return CSegregated(a, b) if seg else CIntegrated(a, b)
+    if isinstance(e, DPairSeg):
+        seg, a, b = reference_shift_pair_once(n, True, e.a, e.b)
+        return DPairSeg(a, b) if seg else DPairInt(a, b)
+    if isinstance(e, DPairInt):
+        seg, a, b = reference_shift_pair_once(n, False, e.a, e.b)
+        return DPairSeg(a, b) if seg else DPairInt(a, b)
+    raise TypeError("not an edge: %r" % (e,))
+
+
+def reference_rotate_edge(family, n, e, step):
+    for _ in range(step):
+        e = reference_rotate_once(family, n, e)
+    return e
+
+
+def reference_count_fixed(family, n, k, d, step):
+    """Filter the enumeration for multidissections fixed by generator^d."""
+    emap = {e: e for e in edge_universe(family, n)}
+    for _ in range(d):
+        emap = {e: reference_rotate_edge(family, n, img, step)
+                for e, img in emap.items()}
+    return sum(all(md.multiplicity(emap[e]) == m for e, m in md.support.items())
+               for md in enumerate_multidissections(family, n, k))
+
+
+def family_cases(n_max):
+    """(family, n, generator_step) for every family and size up to n_max
+    (A and classicalA up to n_max + 2), with both classicalBC steps."""
+    for family in FAMILIES:
+        top = n_max + 2 if family in ("A", "classicalA") else n_max
+        steps = (1, 2) if family == "classicalBC" else (None,)
+        for n in range(min_n(family), top + 1):
+            for step in steps:
+                yield family, n, step
 
 
 def test_declared_group_order():
@@ -80,6 +150,22 @@ def test_rotate_edge_D_colors_swap_each_step():
 def test_rotate_edge_two_steps():
     assert rotate_edge("classicalBC", 3, CDiameter(1)) == CDiameter(3)
     assert rotate_edge("classicalBC", 3, CDiameter(1), 1) == CDiameter(2)
+
+
+@pytest.mark.parametrize("family,n,step", list(family_cases(5)))
+def test_rotate_edge_matches_reference(family, n, step):
+    for e in edge_universe(family, n):
+        assert rotate_edge(family, n, e, step) == \
+            reference_rotate_edge(family, n, e, resolve_step(family, step)), e
+
+
+def test_rotate_edge_rejects_foreign_edges():
+    with pytest.raises(ValueError):
+        rotate_edge("classicalA", 6, AEdge(1, 2))  # boundary edge
+    with pytest.raises(ValueError):
+        rotate_edge("C", 3, AEdge(1, 2))
+    with pytest.raises(ValueError):
+        rotate_edge("A", 4, AEdge(1, 5))
 
 
 def test_rotation_edge_map_is_permutation():
@@ -135,6 +221,21 @@ def test_count_fixed_frozen():
     assert count_fixed("D", 2, 1, 1) == 0
     assert count_fixed("D", 2, 1, 2) == 4
     assert count_fixed("D", 2, 1, 4) == 4
+
+
+@pytest.mark.parametrize("family,n,step", list(family_cases(5)))
+def test_count_fixed_matches_reference_filter(family, n, step):
+    # every power, divisors of the group order or not; verify's fixed
+    # counts come from the same orbit sizes and must agree too
+    order = declared_group_order(family, n)
+    for k in range(0, 4):
+        report = verify(theorem_instance("orbit-poly", n, k,
+                                         generator_step=step, family=family))
+        for d in range(1, order + 1):
+            want = reference_count_fixed(family, n, k, d,
+                                         resolve_step(family, step))
+            assert count_fixed(family, n, k, d, step) == want, (k, d)
+            assert report.checks[d - 1].fixed_count == want, (k, d)
 
 
 def test_invariant_multidissections_consistency():

@@ -48,6 +48,13 @@ def test_enumerate_limit(capsys):
     assert payload["count"] > 3
 
 
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out = run(capsys, ["enumerate", "--family", "A", "--n", "5",
+                             "--k", "2", "--limit", "-2"])
+    assert code == 2
+    assert out == ""
+
+
 def test_enumerate_text_format(capsys):
     code, out = run(capsys, ["enumerate", "--family", "A", "--n", "4",
                              "--k", "1", "--format", "text"])

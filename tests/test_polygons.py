@@ -17,12 +17,12 @@ from sievelab.polygons import (
     DPairSeg,
     SOLID,
     Multidissection,
-    edge_sort_key,
     edge_universe,
     edge_weight,
     edges_cross,
     enumerate_classical,
     enumerate_multidissections,
+    min_n,
     polygon_size,
 )
 
@@ -86,6 +86,28 @@ def test_d_diameter_rule():
     assert not edges_cross("D", 3, DDiameter(1, SOLID), DDiameter(2, SOLID))
 
 
+# --- reference edge order -----------------------------------------------------
+
+def edge_sort_key(e):
+    """The per-class sort key that defined canonical edge order before
+    the position in the edge universe did."""
+    if isinstance(e, AEdge):
+        return (0, e.i, e.j, 0)
+    if isinstance(e, CDiameter):
+        return (0, e.a, 0, 0)
+    if isinstance(e, CSegregated):
+        return (1, e.a, e.b, 0)
+    if isinstance(e, CIntegrated):
+        return (2, e.a, e.b, 0)
+    if isinstance(e, DDiameter):
+        return (0, e.a, 0, 0 if e.color == SOLID else 1)
+    if isinstance(e, DPairSeg):
+        return (1, e.a, e.b, 0)
+    if isinstance(e, DPairInt):
+        return (2, e.a, e.b, 0)
+    raise TypeError("not an edge: %r" % (e,))
+
+
 # --- universes ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -140,10 +162,11 @@ def test_edge_classes_are_distinct():
 
 
 def test_edge_sort_key_total_order():
+    # every universe lists its edges in strictly increasing reference order
     for family in FAMILIES:
-        n = 4 if family not in ("A", "classicalA") else 6
-        keys = [edge_sort_key(e) for e in edge_universe(family, n)]
-        assert len(set(keys)) == len(keys)
+        for n in range(min_n(family), 8):
+            keys = [edge_sort_key(e) for e in edge_universe(family, n)]
+            assert keys == sorted(set(keys)), (family, n)
 
 
 # --- enumeration counts ------------------------------------------------------
@@ -206,8 +229,9 @@ def test_classical_rejects_multiplicity_and_boundary():
 
 
 def test_multidissection_validation():
-    with pytest.raises(ValueError):
-        Multidissection("A", 5, {AEdge(1, 3): 1, AEdge(2, 4): 1})
+    with pytest.raises(ValueError, match=r"crossing edges AEdge\(i=1, j=3\) "
+                                         r"and AEdge\(i=2, j=4\)"):
+        Multidissection("A", 5, {AEdge(2, 4): 1, AEdge(1, 3): 1})
     with pytest.raises(ValueError):
         Multidissection("C", 3, {AEdge(1, 3): 1})
     with pytest.raises(ValueError):
@@ -222,6 +246,7 @@ def test_multidissection_weighted_count_and_key():
     assert md.edge_count() == 4
     same = Multidissection("D", 3, {DDiameter(1, SOLID): 2, DPairSeg(1, 3): 1})
     assert md.key() == same.key()
+    assert [e for e, _ in same.items()] == sorted(same.support, key=edge_sort_key)
     assert md == same
     assert len({md, same}) == 1
     # keys are orderable across same-family multidissections
