@@ -2,7 +2,9 @@
 batches, and algebra audits with JSON / CSV / text reports.
 
 Exit codes: 0 all requested checks hold (or --exploratory), 1 at least
-one check failed, 2 usage or configuration error.
+one check failed, 2 usage or configuration error, 3 a failed internal
+invariant (an ArithmeticError, such as a non-exact division or an orbit
+size that does not divide the group order).
 """
 
 from __future__ import annotations
@@ -452,9 +454,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

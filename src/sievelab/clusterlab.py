@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable
 
 from .actions import rotate_multidissection
@@ -26,14 +27,25 @@ from .qseries import ONE as Q_ONE, ZERO as Q_ZERO
 from .symfunc import as_point, homog_eval, ones_point, schur_eval
 
 
+def _exact(x):
+    """x as an exact rational: a plain int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class GaussRat:
-    """Gaussian rational a + b*i with exact Fraction parts."""
+    """Gaussian rational a + b*i.  Each part is exact: a plain int when
+    it is integral, a Fraction otherwise, so that Gaussian-integer
+    arithmetic never builds a Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _exact(re))
+        object.__setattr__(self, "im", _exact(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -82,8 +94,9 @@ class GaussRat:
         norm = o.re * o.re + o.im * o.im
         if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat((self.re * o.re + self.im * o.im) / norm,
-                        (self.im * o.re - self.re * o.im) / norm)
+        # Fraction first: int / int would give a float
+        return GaussRat(Fraction(self.re * o.re + self.im * o.im) / norm,
+                        Fraction(self.im * o.re - self.re * o.im) / norm)
 
     def __rtruediv__(self, other):
         return GaussRat(other) / self
@@ -221,18 +234,23 @@ class XPoly:
         if not isinstance(other, XPoly):
             return NotImplemented
         self._check_ring(other)
-        out: dict[tuple, GaussRat] = {}
+        # accumulate raw [re, im] parts; one GaussRat per product term
+        acc: dict[tuple, list] = {}
+        right = [(m2, c2.re, c2.im) for m2, c2 in other._terms.items()]
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(m, GR_ZERO) + c1 * c2
-                if acc:
-                    out[m] = acc
+            a, b = c1.re, c1.im
+            for m2, c, d in right:
+                m = tuple(map(add, m1, m2))
+                parts = acc.get(m)
+                if parts is None:
+                    acc[m] = [a * c - b * d, a * d + b * c]
                 else:
-                    out.pop(m, None)
+                    parts[0] += a * c - b * d
+                    parts[1] += a * d + b * c
         res = XPoly.__new__(XPoly)
         res.nrows = self.nrows
-        res._terms = out
+        res._terms = {m: GaussRat(re, im) for m, (re, im) in acc.items()
+                      if re or im}
         return res
 
     __rmul__ = __mul__
@@ -240,14 +258,14 @@ class XPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = XPoly.const(self.nrows, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return XPoly.const(self.nrows, 1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, XPoly):
@@ -289,8 +307,19 @@ def minor(i: int, j: int, nrows: int) -> XPoly:
     if not 1 <= i < j <= nrows:
         raise ValueError("minor needs 1 <= i < j <= %d, got (%d, %d)"
                          % (nrows, i, j))
-    x = XPoly.variable
-    return x(nrows, i, 1) * x(nrows, j, 2) - x(nrows, i, 2) * x(nrows, j, 1)
+    return _quadratic(nrows, ((i, 1, j, 2, 1), (i, 2, j, 1, -1)))
+
+
+def _quadratic(nrows: int, terms) -> XPoly:
+    """The sum of c * x_{r1,c1} x_{r2,c2} over (r1, c1, r2, c2, c) in terms,
+    whose monomials are distinct."""
+    out = {}
+    for r1, c1, r2, c2, c in terms:
+        mono = [0] * (2 * nrows)
+        mono[var_index(r1, c1, nrows)] += 1
+        mono[var_index(r2, c2, nrows)] += 1
+        out[tuple(mono)] = c
+    return XPoly(nrows, out)
 
 
 def z_A(f: Multidissection) -> XPoly:
@@ -304,27 +333,35 @@ def z_A(f: Multidissection) -> XPoly:
     return out
 
 
+# the scalar of each type C edge factor, kept out of the factor itself
+_C_EDGE_SCALAR = {CIntegrated: GR_HALF, CSegregated: GR_INV_2I}
+
+
 def _z_c_edge(n: int, e) -> XPoly:
-    x = XPoly.variable
+    """The edge's factor without its scalar; every coefficient is an
+    integer."""
     if isinstance(e, CDiameter):
-        return x(n, e.a, 1) * x(n, e.a, 2)
-    a, b = e.a, e.b
-    plus = x(n, a, 1) * x(n, b, 2)
-    swap = x(n, a, 2) * x(n, b, 1)
-    if isinstance(e, CIntegrated):
-        return (plus + swap).scale(GR_HALF)
-    if isinstance(e, CSegregated):
-        return (plus - swap).scale(GR_INV_2I)
+        return _quadratic(n, ((e.a, 1, e.a, 2, 1),))
+    if isinstance(e, (CIntegrated, CSegregated)):
+        sign = 1 if isinstance(e, CIntegrated) else -1
+        return _quadratic(n, ((e.a, 1, e.b, 2, 1), (e.a, 2, e.b, 1, sign)))
     raise TypeError("not a type C edge: %r" % (e,))
 
 
 def z_C(f: Multidissection) -> XPoly:
+    """Product of the edge factors: a diameter's is x_{a1} x_{a2}, a
+    chord pair's is (x_{a1} x_{b2} +- x_{a2} x_{b1}) times 1/2 for an
+    integrated pair and 1/(2i) for a segregated one.  The scalars are
+    multiplied in once, after the integer product."""
     if f.family not in ("C", "classicalBC"):
         raise ValueError("expected a type C multidissection")
     out = XPoly.const(f.n, 1)
+    scalar = GR_ONE
     for e, m in f.items():
         out = out * _z_c_edge(f.n, e) ** m
-    return out
+        for _ in range(m):
+            scalar = scalar * _C_EDGE_SCALAR.get(type(e), GR_ONE)
+    return out.scale(scalar)
 
 
 def _z_d_edge(n: int, e) -> XPoly:
@@ -433,49 +470,130 @@ def j_member(p: XPoly, n: int) -> bool:
     return j_reduce(p, n).is_zero()
 
 
-def rank(polys: Iterable[XPoly]) -> int:
-    """Rank of the span, by elimination pivoting on the lexicographically
-    least monomial of each reduced row."""
-    pivots: dict[tuple, XPoly] = {}
-    r = 0
-    for p in polys:
-        cur = p
-        while not cur.is_zero():
-            m = min(cur._terms)
-            if m in pivots:
-                cur = cur - pivots[m].scale(cur._terms[m])
-            else:
-                pivots[m] = cur.scale(GR_ONE / cur._terms[m])
-                r += 1
+# The rank certificate works in Z/p for this prime p = 2^30 - 35, below
+# 2^30 so that residues stay single-digit Python ints.  As p = 1 (mod 4),
+# -1 has the square root _SQRT_M1 mod p, and sending i to it is a ring
+# map onto Z/p from the Gaussian rationals whose denominators p does not
+# divide.
+_PRIME = 1073741789
+_SQRT_M1 = 140687844
+
+
+def _columns(polys: tuple) -> dict:
+    """Column of every monomial, numbered in increasing monomial order,
+    so that a row's least column is its least monomial."""
+    monos = sorted({m for p in polys for m in p._terms})
+    return {m: i for i, m in enumerate(monos)}
+
+
+def _mod_p(x) -> int | None:
+    """An exact rational part reduced mod _PRIME; None when the prime
+    divides its denominator."""
+    if type(x) is int:
+        return x
+    if x.denominator % _PRIME == 0:
+        return None
+    return x.numerator * pow(x.denominator, -1, _PRIME)
+
+
+def _rank_mod_p(polys: tuple) -> int | None:
+    """Rank of the coefficient matrix mapped to Z/p, by elimination on
+    plain-int dict rows pivoting on the least monomial; None when a
+    coefficient has no image.  Equal to len(polys) only if some maximal
+    minor is nonzero mod p, hence nonzero over Q(i)."""
+    p, s = _PRIME, _SQRT_M1
+    cols = _columns(polys)
+    pivots: dict[int, dict] = {}
+    for poly in polys:
+        row = {}
+        for m, c in poly._terms.items():
+            re, im = _mod_p(c.re), _mod_p(c.im)
+            if re is None or im is None:
+                return None
+            v = (re + s * im) % p
+            if v:
+                row[cols[m]] = v
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {k: v * inv % p for k, v in row.items()}
                 break
-    return r
+            f = row[lead]
+            for k, v in pivot.items():
+                w = (row.get(k, 0) - f * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+    return len(pivots)
+
+
+@lru_cache(maxsize=1)
+def _eliminate(polys: tuple) -> tuple[int, tuple | None]:
+    """Exact rank over Q(i) and the first vanishing linear combination
+    found, as sorted (index, coefficient) pairs, or None.  Elimination
+    pivots on the least monomial of each reduced row.  The last result
+    is kept, so rank() and dependency_witness() on the same list
+    eliminate once."""
+    cols = _columns(polys)
+    pivots: dict[int, tuple[dict, dict | None]] = {}
+    witness = None
+    for idx, poly in enumerate(polys):
+        row = {cols[m]: c for m, c in poly._terms.items()}
+        # combinations are tracked only until the first witness is found
+        comb = {idx: GR_ONE} if witness is None else None
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = GR_ONE / row[lead]
+                pivots[lead] = ({k: v * inv for k, v in row.items()},
+                                None if comb is None
+                                else {i: c * inv for i, c in comb.items()})
+                break
+            pivot, pivot_comb = pivots[lead]
+            f = row[lead]
+            for k, v in pivot.items():
+                acc = row.get(k, GR_ZERO) - f * v
+                if acc:
+                    row[k] = acc
+                else:
+                    del row[k]
+            if comb is not None:
+                for i, c in pivot_comb.items():
+                    acc = comb.get(i, GR_ZERO) - f * c
+                    if acc:
+                        comb[i] = acc
+                    else:
+                        comb.pop(i, None)
+        if not row and comb is not None:
+            witness = tuple(sorted(comb.items()))
+    return len(pivots), witness
+
+
+def _rank_and_witness(polys: Iterable[XPoly]) -> tuple[int, tuple | None]:
+    """The mod-p certificate first; the exact elimination only when it
+    falls short of the row count or cannot map a coefficient."""
+    polys = tuple(polys)
+    if len({p.nrows for p in polys}) > 1:
+        raise ValueError("rank of polynomials from mixed ambient rings")
+    if _rank_mod_p(polys) == len(polys):
+        return len(polys), None
+    return _eliminate(polys)
+
+
+def rank(polys: Iterable[XPoly]) -> int:
+    """Rank of the span over Q(i): full rank mod p certifies itself,
+    anything else is decided by the exact elimination."""
+    return _rank_and_witness(polys)[0]
 
 
 def dependency_witness(polys: list[XPoly]) -> list[tuple[int, GaussRat]] | None:
     """First vanishing linear combination found during elimination, as
     (index, coefficient) pairs, or None if the list is independent."""
-    pivots: dict[tuple, tuple[XPoly, dict]] = {}
-    for idx, p in enumerate(polys):
-        cur = p
-        comb = {idx: GR_ONE}
-        while True:
-            if cur.is_zero():
-                return sorted(comb.items())
-            m = min(cur._terms)
-            if m not in pivots:
-                inv = GR_ONE / cur._terms[m]
-                pivots[m] = (cur.scale(inv), {i: c * inv for i, c in comb.items()})
-                break
-            row, row_comb = pivots[m]
-            c = cur._terms[m]
-            cur = cur - row.scale(c)
-            for i, rc in row_comb.items():
-                acc = comb.get(i, GR_ZERO) - c * rc
-                if acc:
-                    comb[i] = acc
-                else:
-                    comb.pop(i, None)
-    return None
+    witness = _rank_and_witness(polys)[1]
+    return None if witness is None else list(witness)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+from sievelab import cli
 from sievelab.cli import main
 
 
@@ -217,6 +218,18 @@ def test_enumerate_rejects_ranges(capsys):
     code, _ = run(capsys, ["enumerate", "--family", "A",
                            "--n-range", "3:4", "--k", "1"])
     assert code == 2
+
+
+def test_failed_invariant_exit_code(capsys, monkeypatch):
+    # a failed internal invariant is not a usage error
+    def broken(n, k):
+        raise ArithmeticError("non-exact division: nonzero remainder")
+
+    monkeypatch.setattr(cli, "check_basis_A", broken)
+    assert main(["audit", "basis-A", "--n", "4", "--k", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-exact division" in captured.err
 
 
 # --- determinism ----------------------------------------------------------------------

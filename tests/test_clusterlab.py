@@ -1,13 +1,19 @@
 """Exact linear algebra over Gaussian rationals: cluster monomials, bases,
 rotation equivariance, and the spanning conjecture audit."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sievelab import clusterlab
 from sievelab.clusterlab import (
+    GR_HALF,
     GR_I,
+    GR_INV_2I,
     GR_ONE,
     GR_ZERO,
     GaussRat,
@@ -37,6 +43,7 @@ from sievelab.clusterlab import (
     z_C,
     z_D,
 )
+from sievelab.clusterlab import _PRIME, _SQRT_M1, _rank_mod_p
 from sievelab.polygons import (
     DOTTED,
     SOLID,
@@ -91,6 +98,46 @@ def test_gaussrat_is_immutable_and_hashable():
         a.re = Fraction(5)
     assert len({GaussRat(1, 2), GaussRat(1, 2), GaussRat(2, 1)}) == 2
     assert GaussRat(3) == GaussRat(Fraction(6, 2))
+
+
+def assert_exact(g):
+    # integral parts are plain ints, the others Fractions; never a float
+    for part in (g.re, g.im):
+        assert type(part) in (int, Fraction)
+        if type(part) is Fraction:
+            assert part.denominator != 1
+
+
+def test_gaussrat_parts_stay_exact():
+    third = GaussRat(1) / GaussRat(3)
+    assert third.re == Fraction(1, 3) and type(third.re) is Fraction
+    assert third.im == 0 and type(third.im) is int
+    assert type(GaussRat(Fraction(6, 2)).re) is int
+    assert GaussRat(4) / GaussRat(2) == GaussRat(2)
+    rng = random.Random(9)
+    for _ in range(200):
+        a = GaussRat(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)),
+                     rng.randrange(-6, 7))
+        b = GaussRat(rng.randrange(-6, 7),
+                     Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
+        results = [a + b, a - b, a * b, -a, 2 * a, a - 1]
+        if b:
+            results += [a / b, 1 / b]
+        for g in results:
+            assert_exact(g)
+
+
+def test_gaussrat_repr_is_unchanged():
+    cases = [
+        (GaussRat(3), "3"), (GaussRat(Fraction(6, 2)), "3"), (GaussRat(-2), "-2"),
+        (GR_ZERO, "0"), (GaussRat(Fraction(-3, 2)), "-3/2"),
+        (GaussRat(0, 1), "1*i"), (GaussRat(0, -1), "-1*i"),
+        (GR_INV_2I, "-1/2*i"), (GaussRat(1, -2), "(1-2*i)"),
+        (GaussRat(Fraction(3, 2), Fraction(1, 2)), "(3/2+1/2*i)"),
+        (GaussRat(Fraction(-1, 2), -3), "(-1/2-3*i)"),
+    ]
+    for g, want in cases:
+        assert repr(g) == want
 
 
 # --- polynomials ---------------------------------------------------------------
@@ -194,6 +241,34 @@ def test_z_C_edge_images():
             assert z_C(f).eval_at(pt) == want
 
 
+def reference_z_C(f):
+    """Product of the type C edge factors, each scaled on its own."""
+    x = XPoly.variable
+    n = f.n
+    out = XPoly.const(n, 1)
+    for e, m in f.items():
+        if isinstance(e, CDiameter):
+            factor = x(n, e.a, 1) * x(n, e.a, 2)
+        else:
+            plus = x(n, e.a, 1) * x(n, e.b, 2)
+            swap = x(n, e.a, 2) * x(n, e.b, 1)
+            factor = (plus + swap).scale(GR_HALF) \
+                if isinstance(e, CIntegrated) else (plus - swap).scale(GR_INV_2I)
+        out = out * factor ** m
+    return out
+
+
+def test_z_C_matches_per_edge_scaled_product():
+    mds = enumerate_multidissections("C", 3, 2)
+    assert len(mds) == 36
+    for f in mds:
+        got, want = z_C(f), reference_z_C(f)
+        assert got == want
+        assert repr(got) == repr(want)
+        for mono in got.monomials():
+            assert_exact(got.coefficient(mono))
+
+
 def test_z_D_matches_minor_product():
     n = 4
     f = Multidissection("D", n, {
@@ -248,8 +323,9 @@ def test_j_member_zero():
 # --- rank and dependencies --------------------------------------------------------
 
 def gf_div(a, b):
+    # Fraction, not int: int / int would turn the oracle into floats
     na, nb = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
-    d = b[0] * b[0] + b[1] * b[1]
+    d = Fraction(b[0] * b[0] + b[1] * b[1])
     return (na / d, nb / d)
 
 
@@ -311,6 +387,8 @@ def test_rank_detects_crafted_dependencies():
     assert rank([]) == 0
     # scaling by i keeps the span one dimensional
     assert rank([a, a.scale(GR_I)]) == 1
+    with pytest.raises(ValueError):
+        rank([a, minor(1, 2, 3)])
 
 
 def test_dependency_witness_sums_to_zero():
@@ -325,6 +403,106 @@ def test_dependency_witness_sums_to_zero():
     assert total.is_zero()
     assert any(c != GR_ZERO for _, c in w)
     assert dependency_witness([a, b]) is None
+
+
+# --- the mod-p rank certificate and its exact fallback ----------------------------
+
+def test_certificate_prime_has_square_root_of_minus_one():
+    p = _PRIME
+    assert p % 4 == 1
+    assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert _SQRT_M1 * _SQRT_M1 % p == p - 1
+
+
+def test_rank_falls_back_when_deficient_mod_p():
+    p = _PRIME
+    a = minor(1, 2, 4)
+    b = minor(1, 3, 4)
+    # each list loses rank mod p, so only the exact elimination can answer
+    cases = [
+        ([a, a + b.scale(p)], 1, 2),
+        ([a, a.scale(1 + p)], 1, 1),
+        ([XPoly.const(4, p)], 0, 1),
+        ([a, b.scale(GaussRat(p, p)), minor(2, 3, 4)], 2, 3),
+    ]
+    for polys, mod_p, exact in cases:
+        assert _rank_mod_p(tuple(polys)) == mod_p
+        assert rank(polys) == exact == oracle_rank(polys)
+        assert (dependency_witness(polys) is None) == (exact == len(polys))
+
+
+def test_rank_falls_back_when_p_divides_a_denominator():
+    a = minor(1, 2, 4)
+    b = minor(1, 3, 4)
+    tiny = GaussRat(Fraction(1, _PRIME), Fraction(2, 3 * _PRIME))
+    assert _rank_mod_p((a.scale(tiny), b)) is None
+    assert rank([a.scale(tiny), b]) == 2
+    assert rank([a, a.scale(tiny)]) == 1
+    w = dependency_witness([a, a.scale(tiny)])
+    assert (a.scale(w[0][1]) + a.scale(tiny).scale(w[1][1])).is_zero()
+
+
+def test_exact_elimination_runs_only_when_certificate_fails(monkeypatch):
+    calls = []
+    real = clusterlab._eliminate
+
+    def spy(polys):
+        calls.append(len(polys))
+        return real(polys)
+
+    monkeypatch.setattr(clusterlab, "_eliminate", spy)
+    a = minor(1, 2, 4)
+    b = minor(1, 3, 4)
+    assert rank([a, b]) == 2
+    assert dependency_witness([a, b]) is None
+    assert calls == []
+    assert rank([a, a + b.scale(_PRIME)]) == 2
+    assert calls == [2]
+    assert rank([a, b, a + b]) == 2
+    assert calls == [2, 3]
+
+
+@pytest.mark.parametrize("family,n,k,check", [
+    ("A", 4, 1, check_basis_A),
+    ("D", 2, 1, check_conjecture_D),
+])
+def test_failed_audit_eliminates_once(monkeypatch, family, n, k, check):
+    # a repeated multidissection makes the audit's list dependent
+    mds = enumerate_multidissections(family, n, k)
+    monkeypatch.setattr(clusterlab, "enumerate_multidissections",
+                        lambda *args: mds + mds[:1])
+    clusterlab._eliminate.cache_clear()
+    rep = check(n, k)
+    assert not rep.passed and rep.witness is not None
+    assert clusterlab._eliminate.cache_info().misses == 1
+
+
+def gaussian_rationals():
+    # numerators and denominators near multiples of the certificate prime
+    # reach both fallback triggers
+    nums = st.integers(-3, 3) | st.sampled_from([_PRIME, -_PRIME, 1 + _PRIME])
+    dens = st.sampled_from([1, 1, 2, 3, _PRIME])
+    part = st.builds(Fraction, nums, dens)
+    return st.builds(GaussRat, part, part)
+
+
+small_xpolys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), gaussian_rationals(), max_size=4,
+).map(lambda terms: XPoly(2, terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_xpolys, max_size=5))
+def test_rank_matches_oracle_property(polys):
+    r = rank(polys)
+    assert r == oracle_rank(polys)
+    w = dependency_witness(polys)
+    assert (w is None) == (r == len(polys))
+    if w is not None:
+        total = XPoly.zero(2)
+        for idx, coeff in w:
+            total = total + polys[idx].scale(coeff)
+        assert total.is_zero()
 
 
 # --- bases -------------------------------------------------------------------------
