@@ -18,14 +18,19 @@ from .qseries import IntLaurentPoly, eval_at_unity_root, q_binomial
 from .symfunc import (
     build_X_thm11, build_X_typeA, build_X_typeC, build_X_typeD,
 )
+from .tableaux import (
+    SNCTableau, content_equinumerosity, multidissection_to_sncr,
+    sncr_to_multidissection,
+)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CspInstance", "CspReport", "IntLaurentPoly", "Multidissection",
-    "RotationAction", "build_X_thm11", "build_X_typeA", "build_X_typeC",
-    "build_X_typeD", "edge_universe", "enumerate_multidissections",
-    "eval_at_unity_root", "fold", "odd_power_correspondence",
-    "orbit_polynomial", "q_binomial", "theorem_instance", "unfold",
-    "verify", "verify_folding_consistency",
+    "RotationAction", "SNCTableau", "build_X_thm11", "build_X_typeA",
+    "build_X_typeC", "build_X_typeD", "content_equinumerosity",
+    "edge_universe", "enumerate_multidissections", "eval_at_unity_root",
+    "fold", "multidissection_to_sncr", "odd_power_correspondence",
+    "orbit_polynomial", "q_binomial", "sncr_to_multidissection",
+    "theorem_instance", "unfold", "verify", "verify_folding_consistency",
 ]

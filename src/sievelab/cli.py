@@ -32,9 +32,6 @@ from .symfunc import ones_point, principal_point
 AUDIT_SELECTORS = ("basis-A", "basis-C", "conjecture-D", "equivariance",
                    "characters", "folding")
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 class UsageError(Exception):
     pass
 
@@ -92,19 +89,30 @@ def _resolve_workers(flag_value: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _first_primes(n: int) -> tuple[IntLaurentPoly, ...]:
+    """The first n primes, found by trial division."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(IntLaurentPoly(p) for p in primes)
+
+
 def _character_probes(family: str, n: int):
     q = IntLaurentPoly.monomial(1)
     if family == "A":
         return [
             ("ones", ones_point(n), None),
             ("principal", principal_point(n), None),
-            ("primes", tuple(IntLaurentPoly(p) for p in _PRIMES[:n]), None),
+            ("primes", _first_primes(n), None),
         ]
     return [
         ("ones", ones_point(n), ones_point(2)),
         ("principal", principal_point(n, step=2),
          (IntLaurentPoly(1), IntLaurentPoly.monomial(n))),
-        ("primes", tuple(IntLaurentPoly(p) for p in _PRIMES[:n]),
+        ("primes", _first_primes(n),
          (IntLaurentPoly(31), IntLaurentPoly(37))),
     ]
 

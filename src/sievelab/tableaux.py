@@ -10,7 +10,6 @@ multidissections of the n-gon.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -79,9 +78,8 @@ def enumerate_ssyt(shape: tuple[int, int], n: int) -> list[TwoRowTableau]:
     return out
 
 
-@lru_cache(maxsize=None)
 def ssyt_content_counts(shape: tuple[int, int], n: int) -> tuple:
-    """Distinct contents with multiplicities; feeds Schur evaluations."""
+    """Distinct contents with multiplicities, in sorted order."""
     counter: dict[tuple[int, ...], int] = {}
     for t in enumerate_ssyt(shape, n):
         c = t.content(n)
@@ -224,13 +222,3 @@ def content_equinumerosity(shape: tuple[int, int], n: int) -> ContentComparison:
         table.setdefault(normalize_content(t.content(n)), [0, 0])[1] += 1
     final = {c: (v[0], v[1]) for c, v in sorted(table.items())}
     return ContentComparison(final, all(a == b for a, b in final.values()))
-
-
-def is_yamanouchi(word) -> bool:
-    """True iff every prefix contains at least as many i's as (i+1)'s."""
-    seen: dict[int, int] = {}
-    for x in word:
-        seen[x] = seen.get(x, 0) + 1
-        if x > 1 and seen[x] > seen.get(x - 1, 0):
-            return False
-    return True

@@ -182,6 +182,20 @@ def test_audit_characters(capsys):
     assert payload["all_pass"] is True
 
 
+def test_audit_characters_beyond_twelve_primes(capsys):
+    # the primes probe needs n values, the first n primes
+    code, out = run(capsys, ["audit", "characters", "--n", "13", "--k", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert {r["family"] for r in payload["reports"]} == {"A", "D"}
+    want = ["2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31",
+            "37", "41"]
+    for rep in payload["reports"]:
+        primes = [p for p in rep["points"] if p["point"] == "primes"][0]
+        assert primes["y"] == want
+    assert payload["all_pass"] is True
+
+
 def test_audit_folding(capsys):
     code, out = run(capsys, ["audit", "folding", "--n", "3", "--k", "2"])
     assert code == 0

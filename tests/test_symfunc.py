@@ -11,7 +11,6 @@ from sievelab.symfunc import (
     build_X_typeC,
     build_X_typeD,
     homog_eval,
-    jacobi_trudi_check,
     ones_point,
     principal_point,
     schur_eval,
@@ -66,12 +65,17 @@ def test_homog_eval_principal_is_gaussian_binomial():
             assert homog_eval(k, principal_point(n)) == q_binomial(n + k - 1, k)
 
 
+def assert_schur_matches_tableau_sum(shape, n):
+    for point in (ones_point(n), principal_point(n), principal_point(n, 2),
+                  as_point([1, 3, 9, 27, 81][:n])):
+        assert schur_eval(shape, point) == brute_schur(shape, point, n)
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1),
                                    (2, 2), (3, 1), (3, 3)])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_schur_eval_matches_tableau_sum(shape, n):
-    for point in (ones_point(n), principal_point(n), as_point([1, 3, 9, 27][:n])):
-        assert schur_eval(shape, point) == brute_schur(shape, point, n)
+    assert_schur_matches_tableau_sum(shape, n)
 
 
 def test_schur_eval_edge_cases():
@@ -84,8 +88,8 @@ def test_schur_eval_edge_cases():
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 4)])
 @pytest.mark.parametrize("n", range(2, 6))
 def test_jacobi_trudi(shape, n):
-    assert jacobi_trudi_check(shape, ones_point(n))
-    assert jacobi_trudi_check(shape, principal_point(n))
+    # the determinant at the larger shapes and at n = 5
+    assert_schur_matches_tableau_sum(shape, n)
 
 
 def test_build_X_typeA_frozen():
@@ -94,6 +98,10 @@ def test_build_X_typeA_frozen():
     got = build_X_typeA(3, 1)
     assert got.evaluate(1) == 3
     assert got.valuation() == 0
+    # the rectangle at k = 4 against the tableau oracle
+    for n in range(3, 7):
+        want = brute_schur((4, 4), principal_point(n), n).shift(-4)
+        assert build_X_typeA(n, 4) == want
     # q-count at 1 equals the plain count for a grid
     from sievelab.polygons import enumerate_multidissections
     for n in range(3, 7):

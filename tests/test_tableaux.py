@@ -14,7 +14,6 @@ from sievelab.tableaux import (
     content_equinumerosity,
     enumerate_sncr,
     enumerate_ssyt,
-    is_yamanouchi,
     multidissection_to_sncr,
     normalize_content,
     sncr_to_multidissection,
@@ -164,15 +163,3 @@ def test_content_equinumerosity_table_is_nontrivial():
 def test_normalize_content():
     assert normalize_content((1, 0, 2, 0, 0)) == (1, 0, 2)
     assert normalize_content((0, 0)) == ()
-
-
-def test_is_yamanouchi():
-    assert is_yamanouchi([1, 1, 2, 2])
-    assert is_yamanouchi([1, 2, 1, 2])
-    assert not is_yamanouchi([2, 1, 1, 2])
-    assert not is_yamanouchi([1, 2, 2])
-    assert is_yamanouchi([])
-    # reading words of semistandard rectangles are lattice words iff the
-    # tableau is the unique highest weight one
-    assert is_yamanouchi([1, 1, 2, 2])
-    assert not is_yamanouchi([1, 2, 2, 3])
