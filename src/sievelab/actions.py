@@ -99,11 +99,9 @@ def rotation_edge_map(family: str, n: int, d: int,
 
 def rotate_multidissection(md: Multidissection, d: int = 1,
                            generator_step: int | None = None) -> Multidissection:
-    edges = edge_universe(md.family, md.n)
     perm = _permutation(md.family, md.n, d, generator_step)
-    return Multidissection(md.family, md.n,
-                           {edges[perm[i]]: m for i, m in md.index_items()},
-                           validate=False)
+    return Multidissection._from_items(
+        md.family, md.n, tuple(sorted((perm[i], m) for i, m in md.index_items())))
 
 
 def is_fixed(md: Multidissection, d: int,

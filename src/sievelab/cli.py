@@ -101,7 +101,6 @@ def _first_primes(n: int) -> tuple[IntLaurentPoly, ...]:
 
 
 def _character_probes(family: str, n: int):
-    q = IntLaurentPoly.monomial(1)
     if family == "A":
         return [
             ("ones", ones_point(n), None),
@@ -432,12 +431,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
+    theorem = getattr(args, "theorem", None)
+    if args.generator_step is not None and not (
+            theorem == "thm1.1-2"
+            or (theorem == "orbit-poly" and args.family == "classicalBC")):
+        raise UsageError("--generator-step applies to verify --theorem "
+                         "thm1.1-2 and orbit-poly --family classicalBC only")
     return RunConfig(
         command=args.command,
         family=args.family,
         n_values=_parse_span(args.n, args.n_range, "n"),
         k_values=_parse_span(args.k, args.k_range, "k"),
-        theorem=getattr(args, "theorem", None),
+        theorem=theorem,
         audit=getattr(args, "selector", None),
         variant=args.variant,
         generator_step=args.generator_step,

@@ -193,61 +193,68 @@ def edge_index(family: str, n: int) -> dict:
 
 
 class Multidissection:
-    """A multiset of pairwise noncrossing edges of one family."""
+    """A multiset of pairwise noncrossing edges of one family, stored as
+    its (edge index, multiplicity) pairs in canonical edge order."""
 
-    __slots__ = ("family", "n", "_support", "_key")
+    __slots__ = ("family", "n", "_items")
 
-    def __init__(self, family: str, n: int, support: dict, validate: bool = True):
-        self.family = family
-        self.n = n
-        self._support = {e: int(m) for e, m in support.items() if m}
-        self._key = None
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        index = edge_index(self.family, self.n)
-        classical = is_classical(self.family)
-        for e, m in self._support.items():
+    def __init__(self, family: str, n: int, support: dict):
+        index = edge_index(family, n)
+        classical = is_classical(family)
+        items = []
+        for e, m in support.items():
+            if not m:
+                continue
             if e not in index:
                 raise ValueError("edge %r is not valid for family %s, n=%d"
-                                 % (e, self.family, self.n))
+                                 % (e, family, n))
             if m < 0:
                 raise ValueError("negative multiplicity on %r" % (e,))
             if classical and m > 1:
                 raise ValueError("classical families use multiplicity 0/1")
-        crossing = _crossing_pairs(self.family, self.n)
-        for pair in combinations(sorted(index[e] for e in self._support), 2):
-            if pair in crossing:
-                edges = edge_universe(self.family, self.n)
-                raise ValueError("crossing edges %r and %r"
-                                 % (edges[pair[0]], edges[pair[1]]))
+            items.append((index[e], int(m)))
+        items.sort()
+        crossing = _crossing_pairs(family, n)
+        for (i, _), (j, _) in combinations(items, 2):
+            if (i, j) in crossing:
+                edges = edge_universe(family, n)
+                raise ValueError("crossing edges %r and %r" % (edges[i], edges[j]))
+        self.family = family
+        self.n = n
+        self._items = tuple(items)
+
+    @classmethod
+    def _from_items(cls, family: str, n: int, items: tuple) -> "Multidissection":
+        """An object from (edge index, multiplicity) pairs that are already
+        sorted, positive and pairwise noncrossing; nothing is checked."""
+        md = cls.__new__(cls)
+        md.family = family
+        md.n = n
+        md._items = items
+        return md
 
     @property
     def support(self) -> dict:
-        return dict(self._support)
+        return dict(self.items())
 
     def multiplicity(self, e) -> int:
-        return self._support.get(e, 0)
+        return self.support.get(e, 0)
 
     def index_items(self) -> tuple:
         """Support as (edge index, multiplicity) pairs in canonical order."""
-        index = edge_index(self.family, self.n)
-        return tuple(sorted((index[e], m) for e, m in self._support.items()))
+        return self._items
 
     def items(self):
         """Support in canonical edge order."""
         edges = edge_universe(self.family, self.n)
-        return [(edges[i], m) for i, m in self.index_items()]
+        return [(edges[i], m) for i, m in self._items]
 
     def edge_count(self) -> int:
-        return sum(m * edge_weight(self.family, e) for e, m in self._support.items())
+        return sum(m * edge_weight(self.family, e) for e, m in self.items())
 
     def key(self):
         """Hashable, totally ordered identity (family, n, sorted support)."""
-        if self._key is None:
-            self._key = (self.family, self.n, self.index_items())
-        return self._key
+        return (self.family, self.n, self._items)
 
     def __eq__(self, other):
         if not isinstance(other, Multidissection):
@@ -299,61 +306,51 @@ def _crossing_pairs(family: str, n: int) -> frozenset:
     return frozenset(pairs)
 
 
-def iter_weighted_assignments(edges, weights, target: int, crossing_pairs,
-                              max_total: int | None = None,
-                              max_mult: int | None = None) -> Iterator[dict]:
-    """Backtrack over `edges` in order, assigning positive multiplicities to
-    a pairwise-noncrossing support with sum(mult * weight) == target.
+def iter_weighted_assignments(weights, target: int, crossing_pairs,
+                              max_mult: int | None = None) -> Iterator[tuple]:
+    """Backtrack over edge indices in order, yielding every pairwise
+    noncrossing support with sum(mult * weight) == target as sorted
+    (edge index, multiplicity) pairs.
 
-    `crossing_pairs` holds index pairs (i < j) that cross.  `max_total`
-    optionally caps the total multiplicity, `max_mult` the per-edge one.
-    All weights must be positive.
+    `crossing_pairs` holds index pairs (i < j) that cross, and `max_mult`
+    optionally caps the per-edge multiplicity.  Edges of weight 0 are
+    never chosen.
     """
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
-    n_edges = len(edges)
-    chosen: list[int] = []
-    assignment: dict = {}
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be >= 0")
+    chosen: list[tuple[int, int]] = []
 
-    def rec(start: int, remaining: int, total: int):
+    def rec(start: int, remaining: int):
         if remaining == 0:
-            yield dict(assignment)
+            yield tuple(chosen)
             return
-        for idx in range(start, n_edges):
+        for idx in range(start, len(weights)):
             w = weights[idx]
-            if w > remaining:
+            if w == 0 or w > remaining:
                 continue
-            if any((j, idx) in crossing_pairs for j in chosen):
+            if any((j, idx) in crossing_pairs for j, _ in chosen):
                 continue
             top = remaining // w
-            if max_total is not None:
-                top = min(top, max_total - total)
             if max_mult is not None:
                 top = min(top, max_mult)
-            if top < 1:
-                continue
-            chosen.append(idx)
-            e = edges[idx]
+            chosen.append((idx, 0))
             for m in range(1, top + 1):
-                assignment[e] = m
-                yield from rec(idx + 1, remaining - m * w, total + m)
-            del assignment[e]
+                chosen[-1] = (idx, m)
+                yield from rec(idx + 1, remaining - m * w)
             chosen.pop()
 
-    yield from rec(0, target, 0)
+    yield from rec(0, target)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _enumerate_cached(family: str, n: int, k: int) -> tuple:
-    edges = edge_universe(family, n)
-    weights = [edge_weight(family, e) for e in edges]
-    crossing = _crossing_pairs(family, n)
+    """The last enumeration is kept, so `invariant_multidissections` right
+    after `orbit_sizes`, and the three character probes, enumerate once."""
+    weights = [edge_weight(family, e) for e in edge_universe(family, n)]
     max_mult = 1 if is_classical(family) else None
-    out = []
-    for assignment in iter_weighted_assignments(edges, weights, k, crossing,
-                                                max_mult=max_mult):
-        out.append(Multidissection(family, n, assignment))
-    return tuple(out)
+    return tuple(Multidissection._from_items(family, n, items)
+                 for items in iter_weighted_assignments(
+                     weights, k, _crossing_pairs(family, n), max_mult))
 
 
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sievelab import cli
 from sievelab.cli import main
 
@@ -226,6 +228,32 @@ def test_bad_range_syntax(capsys):
     code, _ = run(capsys, ["verify", "--theorem", "thm2.5",
                            "--n-range", "4-6", "--k", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "classicalBC", "--n", "3", "--k", "1"],
+    ["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1"],
+    ["verify", "--theorem", "thm1.1-3", "--n", "3", "--k", "1"],
+    ["verify", "--theorem", "orbit-poly", "--family", "C", "--n", "3", "--k", "1"],
+    ["audit", "basis-A", "--n", "3", "--k", "1"],
+    ["audit", "equivariance", "--family", "classicalBC", "--n", "3", "--k", "2"],
+])
+def test_generator_step_rejected_where_unread(capsys, argv):
+    code, out = run(capsys, argv + ["--generator-step", "1"])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "thm1.1-2", "--variant", "shifted"],
+    ["verify", "--theorem", "orbit-poly", "--family", "classicalBC"],
+])
+def test_generator_step_accepted_for_classicalBC(capsys, argv):
+    for step in ("1", "2"):
+        code, out = run(capsys, argv + ["--n", "3", "--k", "1",
+                                        "--generator-step", step])
+        assert code in (0, 1)
+        assert json.loads(out)["reports"][0]["family"] == "classicalBC"
 
 
 def test_enumerate_rejects_ranges(capsys):

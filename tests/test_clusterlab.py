@@ -555,6 +555,21 @@ def test_lemma_basis_multidissections():
                        for e, _ in md.items())
         assert len({md.key() for md in got}) == len(got)
     assert len(lemma_basis_multidissections(2, 0)) == 1
+    # against a filter of the full enumeration: every edge that avoids
+    # (n+1, n+2) has d-degree >= 1, so at most k edges are used
+    for n in range(1, 5):
+        for k in range(0, 4):
+            brute = set()
+            for t in range(k + 1):
+                for md in enumerate_multidissections("A", n + 2, t):
+                    pairs = md.items()
+                    if any(e.i == n + 1 and e.j == n + 2 for e, _ in pairs):
+                        continue
+                    if sum(m * ((e.i <= n) + (e.j <= n)) for e, m in pairs) == k:
+                        brute.add(md.key())
+            got = lemma_basis_multidissections(n, k)
+            assert len(got) == len(brute)
+            assert {md.key() for md in got} == brute
 
 
 @pytest.mark.parametrize("n,k,count,rnk", [
@@ -624,6 +639,15 @@ def test_equivariance_exact(family, n, k):
     assert rep.passed and rep.mode == "exact"
     assert rep.failures == ()
     assert rep.total == len(enumerate_multidissections(family, n, k))
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+@pytest.mark.parametrize("k", [2, 3])
+def test_equivariance_classicalBC(n, k):
+    # the classicalBC generator is two vertex steps, so the one-step
+    # substitution has to be applied twice
+    rep = verify_equivariance("classicalBC", n, k)
+    assert rep.passed and rep.failures == ()
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1), (3, 2)])

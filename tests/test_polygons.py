@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from sievelab.actions import declared_group_order, rotate_multidissection
 from sievelab.polygons import (
     FAMILIES,
     AEdge,
@@ -260,6 +261,33 @@ def test_enumeration_has_no_duplicates():
         assert len({m.key() for m in mds}) == len(mds)
         for md in mds:
             assert md.edge_count() == k
+
+
+# --- oracle for the objects built without validation ------------------------
+
+def small_cases(family):
+    """(n, k) for the three smallest polygons of the family, k <= 3."""
+    return [(n, k) for n in range(min_n(family), min_n(family) + 3)
+            for k in range(4)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_enumerated_objects_pass_full_validation(family):
+    for n, k in small_cases(family):
+        for md in enumerate_multidissections(family, n, k):
+            assert Multidissection(family, n, md.support) == md
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rotated_objects_pass_full_validation(family):
+    steps = (1, 2) if family == "classicalBC" else (None,)
+    for n, k in small_cases(family):
+        mds = enumerate_multidissections(family, n, k)
+        for step in steps:
+            for d in range(1, declared_group_order(family, n) + 1):
+                for md in mds:
+                    image = rotate_multidissection(md, d, step)
+                    assert Multidissection(family, n, image.support) == image
 
 
 def test_to_json_dict_shape():
