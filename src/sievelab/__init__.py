@@ -8,7 +8,7 @@ folding, odd-power correspondence), cspverify (sieving and consistency
 reports), clusterlab (symbolic monomials, ranks, characters).
 """
 
-from .actions import RotationAction, fold, odd_power_correspondence, unfold
+from .actions import fold, odd_power_correspondence, unfold
 from .cspverify import (
     CspInstance, CspReport, orbit_polynomial, theorem_instance, verify,
     verify_folding_consistency,
@@ -27,7 +27,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CspInstance", "CspReport", "IntLaurentPoly", "Multidissection",
-    "RotationAction", "SNCTableau", "build_X_thm11", "build_X_typeA",
+    "SNCTableau", "build_X_thm11", "build_X_typeA",
     "build_X_typeC", "build_X_typeD", "content_equinumerosity",
     "edge_universe", "enumerate_multidissections", "eval_at_unity_root",
     "fold", "multidissection_to_sncr", "odd_power_correspondence",

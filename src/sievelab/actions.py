@@ -7,6 +7,10 @@ The generator of each family's cyclic action:
                    every diameter
   classicalBC      `generator_step` vertex steps on the 2n-gon (default 2)
 
+Each generator is a power of the one-vertex-step permutation of edge
+positions in the family's `EdgeTable` (`polygons.edge_table`), so a
+rotated multidissection is its index tuple permuted and re-sorted.
+
 Also home to the folding bijection between multidissections invariant
 under an even power of the colored rotation and multidissections of a
 smaller polygon, and to the odd-power correspondence with the centrally
@@ -15,15 +19,12 @@ symmetric family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-
 from .polygons import (
     SOLID, DOTTED,
     CDiameter, CSegregated, CIntegrated,
     DDiameter, DPairSeg, DPairInt,
-    Multidissection, edge_chords, edge_index, edge_universe,
-    enumerate_multidissections, polygon_size,
+    Multidissection, edge_chords, edge_table, edge_universe,
+    enumerate_multidissections,
 )
 
 
@@ -47,48 +48,28 @@ def resolve_step(family: str, generator_step: int | None) -> int:
     return 1
 
 
-@lru_cache(maxsize=None)
-def _generator(family: str, n: int, step: int) -> tuple[int, ...]:
-    """The generator as a permutation of edge indices: every constituent
-    chord turns by `step` vertices and, in the colored families, every
-    diameter swaps color."""
-    edges = edge_universe(family, n)
-    m = polygon_size(family, n)
-    swap = {SOLID: DOTTED, DOTTED: SOLID}
-
-    def chords(e, shift):
-        return frozenset(tuple(sorted(((u + shift) % m, (v + shift) % m)))
-                         for u, v in edge_chords(family, n, e))
-
-    lookup = {(chords(e, 0), getattr(e, "color", None)): i
-              for i, e in enumerate(edges)}
-    return tuple(lookup[chords(e, step), swap.get(getattr(e, "color", None))]
-                 for e in edges)
-
-
 def _permutation(family: str, n: int, d: int,
                  generator_step: int | None) -> tuple[int, ...]:
     """generator^d as a permutation of edge indices."""
     if d < 0:
         raise ValueError("power must be >= 0")
-    gen = _generator(family, n, resolve_step(family, generator_step))
-    perm = tuple(range(len(gen)))
-    for _ in range(d):
-        perm = tuple(gen[i] for i in perm)
+    rotation = edge_table(family, n).rotation
+    perm = tuple(range(len(rotation)))
+    for _ in range(d * resolve_step(family, generator_step)):
+        perm = tuple(rotation[i] for i in perm)
     return perm
 
 
 def rotate_edge(family: str, n: int, e, generator_step: int | None = None):
     """One application of the family's generator to a single edge."""
-    index = edge_index(family, n)
-    if e not in index:
+    table = edge_table(family, n)
+    if e not in table.index:
         raise ValueError("edge %r is not valid for family %s, n=%d"
                          % (e, family, n))
-    gen = _generator(family, n, resolve_step(family, generator_step))
-    return edge_universe(family, n)[gen[index[e]]]
+    gen = _permutation(family, n, 1, generator_step)
+    return table.edges[gen[table.index[e]]]
 
 
-@lru_cache(maxsize=None)
 def rotation_edge_map(family: str, n: int, d: int,
                       generator_step: int | None = None) -> tuple:
     """Pairs (edge, generator^d(edge)) over the whole edge universe."""
@@ -109,10 +90,9 @@ def is_fixed(md: Multidissection, d: int,
     return rotate_multidissection(md, d, generator_step) == md
 
 
-@lru_cache(maxsize=None)
 def action_order(family: str, n: int, generator_step: int | None = None) -> int:
     """Exact order of the generator on the full edge set."""
-    gen = _generator(family, n, resolve_step(family, generator_step))
+    gen = _permutation(family, n, 1, generator_step)
     order, perm = 1, gen
     while perm != tuple(range(len(gen))):
         perm = tuple(gen[i] for i in perm)
@@ -127,7 +107,7 @@ def orbit_sizes(family: str, n: int, k: int,
     Each object's (edge index, multiplicity) tuple is rotated until it
     comes back; generator^d fixes an object exactly when its orbit size
     divides d."""
-    gen = _generator(family, n, resolve_step(family, generator_step))
+    gen = _permutation(family, n, 1, generator_step)
     sizes = []
     for md in enumerate_multidissections(family, n, k):
         start = cur = md.index_items()
@@ -137,31 +117,6 @@ def orbit_sizes(family: str, n: int, k: int,
             size += 1
         sizes.append(size)
     return sizes
-
-
-@dataclass(frozen=True)
-class RotationAction:
-    """The acting cyclic group of a family, with its declared order."""
-
-    family: str
-    n: int
-    generator_step: int | None = None
-    declared_order: int = field(init=False)
-
-    def __post_init__(self):
-        resolve_step(self.family, self.generator_step)
-        object.__setattr__(self, "declared_order",
-                           declared_group_order(self.family, self.n))
-        if declared_group_order(self.family, self.n) % \
-                action_order(self.family, self.n, self.generator_step):
-            raise ValueError("generator order does not divide the declared "
-                             "group order")
-
-    def apply(self, md: Multidissection, d: int = 1) -> Multidissection:
-        return rotate_multidissection(md, d, self.generator_step)
-
-    def is_fixed(self, md: Multidissection, d: int) -> bool:
-        return is_fixed(md, d, self.generator_step)
 
 
 def count_fixed(family: str, n: int, k: int, d: int,

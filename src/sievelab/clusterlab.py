@@ -20,7 +20,7 @@ from .actions import resolve_step, rotate_multidissection
 from .polygons import (
     SOLID, CDiameter, CIntegrated, CSegregated,
     DDiameter, DPairInt, DPairSeg,
-    Multidissection, _crossing_pairs, edge_universe,
+    Multidissection, edge_table,
     enumerate_multidissections, iter_weighted_assignments,
 )
 from .qseries import ONE as Q_ONE, ZERO as Q_ZERO
@@ -791,10 +791,11 @@ def lemma_basis_multidissections(n: int, k: int) -> tuple:
     The last result is kept, so the conjecture audit and the character
     probes at one (n, k) enumerate once."""
     # an edge's weight is its d-degree, its number of endpoints in 1..n
-    weights = [(e.i <= n) + (e.j <= n) for e in edge_universe("A", n + 2)]
+    table = edge_table("A", n + 2)
+    weights = [(e.i <= n) + (e.j <= n) for e in table.edges]
     return tuple(Multidissection._from_items("A", n + 2, items)
                  for items in iter_weighted_assignments(
-                     weights, k, _crossing_pairs("A", n + 2)))
+                     weights, k, table.crossing))
 
 
 def expected_dim_D(n: int, k: int) -> int:

@@ -12,6 +12,11 @@ Vertices are 0-indexed positions on the circle internally; public edge
 labels use 1..n (and the "barred" copy n+1..2n internally maps to labels
 with a bar).  Edge counts weigh a centrally symmetric pair of family D as
 two edges; everything else weighs one.
+
+All per-edge facts of one (family, n) live in its `EdgeTable`: the
+universe in canonical order, each edge's position, weights, crossing
+pairs and the one-vertex-step rotation, all by edge position.
+`edge_table` builds it once and keeps the last few.
 """
 
 from __future__ import annotations
@@ -127,12 +132,11 @@ def edge_chords(family: str, n: int, e) -> tuple[tuple[int, int], ...]:
     raise TypeError("edge %r does not belong to family %s" % (e, family))
 
 
-def chords_cross(m: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
-    """Strict interleaving of endpoints; sharing an endpoint never crosses."""
+def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
+    """Strict interleaving of the endpoints of chords a < b and c < d;
+    chords that share an endpoint never interleave."""
     a, b = c1
     c, d = c2
-    if len({a, b, c, d}) < 4:
-        return False
     return a < c < b < d or c < a < d < b
 
 
@@ -143,53 +147,81 @@ def edges_cross(family: str, n: int, e1, e2) -> bool:
         # distinct same-color diameters and identical different-color
         # diameters do not cross; distinct different-color diameters do
         return e1.a != e2.a and e1.color != e2.color
-    m = polygon_size(family, n)
-    for c1 in edge_chords(family, n, e1):
-        for c2 in edge_chords(family, n, e2):
-            if chords_cross(m, c1, c2):
-                return True
-    return False
+    return any(chords_cross(c1, c2)
+               for c1 in edge_chords(family, n, e1)
+               for c2 in edge_chords(family, n, e2))
 
 
-def _is_boundary_chord(m: int, chord: tuple[int, int]) -> bool:
-    u, v = chord
-    return v - u == 1 or v - u == m - 1
+@dataclass(frozen=True)
+class EdgeTable:
+    """Everything fixed about the edge system of one (family, n).
+
+    `edges` is the universe in canonical order, so an edge's position is
+    its identity; `index` maps an edge back to that position.  `weights`
+    are the per-edge edge-count contributions, `crossing` holds the index
+    pairs (i < j) of crossing edges, and `rotation` is one vertex step of
+    the polygon (with every colored diameter swapping color) as a
+    permutation of positions."""
+
+    edges: tuple
+    index: dict
+    weights: tuple[int, ...]
+    crossing: frozenset
+    rotation: tuple[int, ...]
 
 
-def is_boundary_edge(family: str, n: int, e) -> bool:
-    m = polygon_size(family, n)
-    return any(_is_boundary_chord(m, c) for c in edge_chords(family, n, e))
+def _universe(family: str, n: int) -> list:
+    base = _base_bc(family)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    if base == "A":
+        edges = [AEdge(i, j) for i, j in pairs]
+    elif base == "C":
+        edges = [CDiameter(a) for a in range(1, n + 1)]
+        edges += [CSegregated(a, b) for a, b in pairs]
+        edges += [CIntegrated(a, b) for a, b in pairs]
+    else:
+        edges = [DDiameter(a, color) for a in range(1, n + 1) for color in (SOLID, DOTTED)]
+        edges += [DPairSeg(a, b) for a, b in pairs]
+        edges += [DPairInt(a, b) for a, b in pairs]
+    if is_classical(family):
+        # classical families leave out the polygon's sides
+        m = polygon_size(family, n)
+        edges = [e for e in edges
+                 if all(v - u not in (1, m - 1) for u, v in edge_chords(family, n, e))]
+    return edges
 
 
-@lru_cache(maxsize=None)
-def edge_universe(family: str, n: int) -> tuple:
-    """All edges of the family on its polygon, in canonical order."""
+@lru_cache(maxsize=16)
+def edge_table(family: str, n: int) -> EdgeTable:
+    """The edge table of (family, n).  The last 16 tables are kept, which
+    covers every (family, n) one task touches."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % family)
     if n < min_n(family):
         raise ValueError("family %s needs n >= %d" % (family, min_n(family)))
-    base = _base_bc(family)
-    edges: list = []
-    if base == "A":
-        edges = [AEdge(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    elif base == "C":
-        edges = [CDiameter(a) for a in range(1, n + 1)]
-        edges += [CSegregated(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-        edges += [CIntegrated(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    else:
-        edges = [DDiameter(a, color) for a in range(1, n + 1) for color in (SOLID, DOTTED)]
-        edges += [DPairSeg(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-        edges += [DPairInt(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    if is_classical(family):
-        edges = [e for e in edges if not is_boundary_edge(family, n, e)]
-    return tuple(edges)
+    edges = tuple(_universe(family, n))
+    m = polygon_size(family, n)
+    swap = {SOLID: DOTTED, DOTTED: SOLID}
+
+    def chords(e, shift):
+        return frozenset(tuple(sorted(((u + shift) % m, (v + shift) % m)))
+                         for u, v in edge_chords(family, n, e))
+
+    position = {(chords(e, 0), getattr(e, "color", None)): i
+                for i, e in enumerate(edges)}
+    return EdgeTable(
+        edges=edges,
+        index={e: i for i, e in enumerate(edges)},
+        weights=tuple(edge_weight(family, e) for e in edges),
+        crossing=frozenset((i, j) for i, j in combinations(range(len(edges)), 2)
+                           if edges_cross(family, n, edges[i], edges[j])),
+        rotation=tuple(position[chords(e, 1), swap.get(getattr(e, "color", None))]
+                       for e in edges))
 
 
-@lru_cache(maxsize=None)
-def edge_index(family: str, n: int) -> dict:
-    """Position of every edge in `edge_universe(family, n)`; canonical
-    edge order is the order of these indices."""
-    return {e: i for i, e in enumerate(edge_universe(family, n))}
+def edge_universe(family: str, n: int) -> tuple:
+    """All edges of the family on its polygon, in canonical order."""
+    return edge_table(family, n).edges
 
 
 class Multidissection:
@@ -199,26 +231,24 @@ class Multidissection:
     __slots__ = ("family", "n", "_items")
 
     def __init__(self, family: str, n: int, support: dict):
-        index = edge_index(family, n)
+        table = edge_table(family, n)
         classical = is_classical(family)
         items = []
         for e, m in support.items():
-            if not m:
-                continue
-            if e not in index:
+            if e not in table.index:
                 raise ValueError("edge %r is not valid for family %s, n=%d"
                                  % (e, family, n))
             if m < 0:
                 raise ValueError("negative multiplicity on %r" % (e,))
             if classical and m > 1:
                 raise ValueError("classical families use multiplicity 0/1")
-            items.append((index[e], int(m)))
+            if m:
+                items.append((table.index[e], int(m)))
         items.sort()
-        crossing = _crossing_pairs(family, n)
         for (i, _), (j, _) in combinations(items, 2):
-            if (i, j) in crossing:
-                edges = edge_universe(family, n)
-                raise ValueError("crossing edges %r and %r" % (edges[i], edges[j]))
+            if (i, j) in table.crossing:
+                raise ValueError("crossing edges %r and %r"
+                                 % (table.edges[i], table.edges[j]))
         self.family = family
         self.n = n
         self._items = tuple(items)
@@ -250,7 +280,8 @@ class Multidissection:
         return [(edges[i], m) for i, m in self._items]
 
     def edge_count(self) -> int:
-        return sum(m * edge_weight(self.family, e) for e, m in self.items())
+        weights = edge_table(self.family, self.n).weights
+        return sum(m * weights[i] for i, m in self._items)
 
     def key(self):
         """Hashable, totally ordered identity (family, n, sorted support)."""
@@ -295,17 +326,6 @@ def edge_label(e) -> dict:
     raise TypeError("not an edge: %r" % (e,))
 
 
-@lru_cache(maxsize=None)
-def _crossing_pairs(family: str, n: int) -> frozenset:
-    edges = edge_universe(family, n)
-    pairs = set()
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if edges_cross(family, n, edges[i], edges[j]):
-                pairs.add((i, j))
-    return frozenset(pairs)
-
-
 def iter_weighted_assignments(weights, target: int, crossing_pairs,
                               max_mult: int | None = None) -> Iterator[tuple]:
     """Backtrack over edge indices in order, yielding every pairwise
@@ -346,11 +366,11 @@ def iter_weighted_assignments(weights, target: int, crossing_pairs,
 def _enumerate_cached(family: str, n: int, k: int) -> tuple:
     """The last enumeration is kept, so `invariant_multidissections` right
     after `orbit_sizes`, and the three character probes, enumerate once."""
-    weights = [edge_weight(family, e) for e in edge_universe(family, n)]
+    table = edge_table(family, n)
     max_mult = 1 if is_classical(family) else None
     return tuple(Multidissection._from_items(family, n, items)
                  for items in iter_weighted_assignments(
-                     weights, k, _crossing_pairs(family, n), max_mult))
+                     table.weights, k, table.crossing, max_mult))
 
 
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:

@@ -276,9 +276,10 @@ def q_binomial(m: int, r: int) -> IntLaurentPoly:
     return num.exact_div(den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cyclotomic(m: int) -> IntLaurentPoly:
-    """m-th cyclotomic polynomial, by exact division of q^m - 1."""
+    """m-th cyclotomic polynomial, by exact division of q^m - 1.  The last
+    64 results are kept; building one reads those of every divisor of m."""
     if m < 1:
         raise ValueError("cyclotomic index must be >= 1")
     p = IntLaurentPoly({m: 1, 0: -1})

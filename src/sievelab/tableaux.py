@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .polygons import AEdge, Multidissection
+from .polygons import AEdge, Multidissection, chords_cross
 
 
 class TwoRowTableau:
@@ -89,11 +89,7 @@ def ssyt_content_counts(shape: tuple[int, int], n: int) -> tuple:
 
 def columns_noncrossing(col1: tuple[int, int], col2: tuple[int, int]) -> bool:
     """Columns (a,b), (c,d) with a<b, c<d viewed as polygon chords."""
-    a, b = col1
-    c, d = col2
-    if len({a, b, c, d}) < 4:
-        return True
-    return not (a < c < b < d or c < a < d < b)
+    return not chords_cross(col1, col2)
 
 
 class SNCTableau:

@@ -1,9 +1,10 @@
 """Rotation actions, invariants, folding, and the odd-power correspondence."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab.actions import (
-    RotationAction,
     action_order,
     count_fixed,
     declared_group_order,
@@ -31,6 +32,7 @@ from sievelab.polygons import (
     DPairInt,
     DPairSeg,
     Multidissection,
+    edge_table,
     edge_universe,
     enumerate_multidissections,
     min_n,
@@ -201,15 +203,29 @@ def test_action_order(family, n, step, order):
     assert declared_group_order(family, n) % order == 0
 
 
-def test_rotation_action_dataclass():
-    act = RotationAction("classicalBC", 3)
-    assert act.declared_order == 3
-    md = Multidissection("classicalBC", 3, {CDiameter(1): 1})
-    assert act.apply(md, 3) == md
-    assert act.is_fixed(md, 3)
-    assert not act.is_fixed(md, 1)
-    with pytest.raises(ValueError):
-        RotationAction("A", 4, generator_step=2)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(family_cases(3))), st.integers(0, 12))
+def test_generator_powers_preserve_the_edge_table(case, d):
+    # generator^d, composed here from the table's one-vertex-step rotation,
+    # permutes edge positions with an order dividing the group order, maps
+    # crossing pairs onto crossing pairs and keeps every weight
+    family, n, step = case
+    table = edge_table(family, n)
+    size = len(table.edges)
+    perm = tuple(range(size))
+    for _ in range(d * resolve_step(family, step)):
+        perm = tuple(table.rotation[i] for i in perm)
+    assert sorted(perm) == list(range(size))
+    power, order = perm, 1
+    while power != tuple(range(size)):
+        power = tuple(perm[i] for i in power)
+        order += 1
+    assert declared_group_order(family, n) % order == 0
+    assert {tuple(sorted((perm[i], perm[j]))) for i, j in table.crossing} \
+        == table.crossing
+    assert all(table.weights[perm[i]] == w for i, w in enumerate(table.weights))
+    assert rotation_edge_map(family, n, d, step) == \
+        tuple((e, table.edges[j]) for e, j in zip(table.edges, perm))
 
 
 def test_count_fixed_frozen():
@@ -239,11 +255,14 @@ def test_count_fixed_matches_reference_filter(family, n, step):
 
 
 def test_invariant_multidissections_consistency():
-    for family, n, k, d in [("A", 4, 2, 2), ("C", 3, 2, 3), ("D", 3, 2, 2)]:
+    # classicalBC with its default two-step generator: at n = 3 a diameter
+    # is fixed by generator^3 but not by generator^1
+    for family, n, k, d in [("A", 4, 2, 2), ("C", 3, 2, 3), ("D", 3, 2, 2),
+                            ("classicalBC", 3, 1, 1), ("classicalBC", 3, 1, 3)]:
         inv = invariant_multidissections(family, n, k, d)
         assert len(inv) == count_fixed(family, n, k, d)
-        for md in inv:
-            assert is_fixed(md, d)
+        for md in enumerate_multidissections(family, n, k):
+            assert is_fixed(md, d) == (md in inv)
 
 
 # --- folding ------------------------------------------------------------------

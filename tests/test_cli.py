@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,33 @@ def test_audit_folding(capsys):
     rep = json.loads(out)["reports"][0]
     assert rep["pass"] is True
     assert [e["d"] for e in rep["entries"]] == [1, 2, 3, 6]
+
+
+# Audit output in csv and text, for every selector.  The files under
+# tests/golden/ were recorded before the renderers were refactored and
+# must not be regenerated from the code they check.
+GOLDEN = Path(__file__).parent / "golden"
+AUDIT_GOLDEN_CASES = [
+    ("basis-A", ["basis-A", "--n-range", "3:4", "--k-range", "1:2"]),
+    ("basis-C", ["basis-C", "--n-range", "2:3", "--k-range", "1:2"]),
+    ("conjecture-D", ["conjecture-D", "--n-range", "2:3", "--k-range", "1:2"]),
+    ("equivariance-A", ["equivariance", "--family", "A", "--n", "4",
+                        "--k-range", "1:2"]),
+    ("equivariance-D", ["equivariance", "--family", "D", "--n", "3", "--k", "2"]),
+    ("equivariance-classicalBC", ["equivariance", "--family", "classicalBC",
+                                  "--n", "3", "--k", "2"]),
+    ("characters", ["characters", "--n", "3", "--k-range", "1:2"]),
+    ("folding", ["folding", "--n-range", "2:3", "--k-range", "1:2"]),
+]
+
+
+@pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("text", "txt")])
+@pytest.mark.parametrize("name,args", AUDIT_GOLDEN_CASES,
+                         ids=[name for name, _ in AUDIT_GOLDEN_CASES])
+def test_audit_output_matches_golden(capsys, name, args, fmt, ext):
+    code, out = run(capsys, ["audit"] + args + ["--format", fmt])
+    assert code == 0
+    assert out == (GOLDEN / ("audit-%s.%s" % (name, ext))).read_text()
 
 
 # --- usage errors -------------------------------------------------------------------

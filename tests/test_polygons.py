@@ -242,6 +242,14 @@ def test_multidissection_validation():
     assert md.items() == [(AEdge(1, 4), 2)]
 
 
+def test_foreign_edge_rejected_at_zero_multiplicity():
+    # membership is checked before a zero multiplicity is dropped
+    with pytest.raises(ValueError, match="not valid for family C"):
+        Multidissection("C", 3, {AEdge(1, 3): 0})
+    with pytest.raises(ValueError, match="not valid for family classicalA"):
+        Multidissection("classicalA", 6, {AEdge(1, 2): 0})  # boundary edge
+
+
 def test_multidissection_weighted_count_and_key():
     md = Multidissection("D", 3, {DPairSeg(1, 3): 1, DDiameter(1, SOLID): 2})
     assert md.edge_count() == 4

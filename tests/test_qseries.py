@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab.qseries import (
     ONE,
@@ -58,6 +60,49 @@ def test_ring_axioms_spot_checks():
         assert (a * b) * c == a * (b * c)
         assert a + ZERO == a
         assert a * ONE == a
+
+
+laurent_polys = st.dictionaries(st.integers(-6, 6), st.integers(-20, 20),
+                                max_size=6).map(IntLaurentPoly)
+fraction_points = st.fractions(min_value=-4, max_value=4,
+                               max_denominator=7).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys, laurent_polys, laurent_polys, fraction_points)
+def test_ring_laws_under_fraction_evaluation(a, b, c, x):
+    # evaluation at a nonzero rational is a ring map, so every law is
+    # checked both as polynomial equality and after evaluating
+    def ev(p):
+        return p.evaluate(x)
+
+    assert ev(a + b) == ev(a) + ev(b)
+    assert ev(a - b) == ev(a) - ev(b)
+    assert ev(a * b) == ev(a) * ev(b)
+    assert ev(-a) == -ev(a)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a and a - a == ZERO
+    assert ev(a ** 3) == ev(a) ** 3
+
+
+# tolerance of the float cross-check below, not used by the library
+ROOT_TOLERANCE = 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys, st.integers(1, 12), st.integers(-12, 24))
+def test_eval_at_unity_root_matches_complex_evaluation(p, m, d):
+    ev = eval_at_unity_root(p, m, d)
+    want = approx_root_value(p, m, d)
+    if ev.is_integer:
+        got = ev.value
+    else:
+        zeta = cmath.exp(2j * cmath.pi / ev.order)
+        got = sum(c * zeta ** e for e, c in ev.residue.terms.items())
+    assert abs(want - got) < ROOT_TOLERANCE
 
 
 def test_degree_valuation_shift():
