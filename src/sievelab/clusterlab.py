@@ -10,10 +10,10 @@ back the basis theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, or_
 from typing import Iterable
 
 from .actions import resolve_step, rotate_multidissection
@@ -136,56 +136,130 @@ def var_index(row: int, col: int, nrows: int) -> int:
     return 2 * (row - 1) + (col - 1)
 
 
+# Packed monomials.  Each exponent is one byte of an int, variable 0 in
+# the most significant byte, so the int order of packed monomials is the
+# order of their exponent tuples, and multiplying monomials is adding
+# their ints.  An exponent stays at or below _MAX_EXP, clear of its
+# byte's top bit: two valid fields then add without carrying into the
+# next field, and a set top bit shows an overflow.
+_MAX_EXP = 127
+
+
+@lru_cache(maxsize=64)
+def _top_bits(width: int) -> int:
+    """The top bit of every field of a monomial in width variables."""
+    return int.from_bytes(b"\x80" * width, "big")
+
+
+def _check_fields(monos, width: int):
+    """Raise ArithmeticError when a packed monomial, made by adding valid
+    ones, has an exponent above _MAX_EXP."""
+    if reduce(or_, monos, 0) & _top_bits(width):
+        raise ArithmeticError("an exponent exceeds %d, the largest a packed "
+                              "monomial holds" % _MAX_EXP)
+
+
+def _pack(mono, width: int) -> int:
+    """The packed form of an exponent tuple."""
+    if len(mono) != width:
+        raise ValueError("monomial width %d does not match %d rows"
+                         % (len(mono), width // 2))
+    for e in mono:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponents must be non-negative integers, got %r"
+                             % (tuple(mono),))
+        if e > _MAX_EXP:
+            raise ArithmeticError("exponent %d exceeds %d, the largest a "
+                                  "packed monomial holds" % (e, _MAX_EXP))
+    return int.from_bytes(bytes(mono), "big")
+
+
+def _unpack(m: int, width: int) -> tuple:
+    return tuple(m.to_bytes(width, "big"))
+
+
+def _unit(nrows: int, row: int, col: int) -> int:
+    """The packed monomial x_{row,col}."""
+    return 1 << 8 * (2 * nrows - 1 - var_index(row, col, nrows))
+
+
+def _pair(c) -> tuple:
+    """A scalar as an exact (re, im) pair."""
+    if isinstance(c, GaussRat):
+        return c.re, c.im
+    return _exact(c), 0
+
+
 class XPoly:
-    """Sparse polynomial over GaussRat; monomials are dense exponent
-    tuples of length 2*nrows ordered (row 1 col 1, row 1 col 2, ...)."""
+    """Sparse polynomial over the Gaussian rationals in the variables of
+    an nrows x 2 matrix.
+
+    A monomial is stored packed into one int and a coefficient as an
+    exact (re, im) pair, so arithmetic builds no per-term objects.  The
+    public methods take and return dense exponent tuples of length
+    2*nrows, ordered (row 1 col 1, row 1 col 2, ...), and GaussRat
+    coefficients.  An exponent above 127 raises ArithmeticError."""
 
     __slots__ = ("nrows", "_terms")
 
     def __init__(self, nrows: int, terms=None):
         self.nrows = nrows
-        clean: dict[tuple, GaussRat] = {}
+        clean: dict[int, tuple] = {}
         width = 2 * nrows
         for mono, c in (terms or {}).items():
             coeff = c if isinstance(c, GaussRat) else GaussRat(c)
-            if len(mono) != width:
-                raise ValueError("monomial width %d does not match %d rows"
-                                 % (len(mono), nrows))
+            key = _pack(mono, width)
             if coeff:
-                clean[tuple(mono)] = coeff
+                clean[key] = (coeff.re, coeff.im)
         self._terms = clean
 
     @classmethod
+    def _make(cls, nrows: int, terms: dict) -> "XPoly":
+        """Wrap packed terms with nonzero pairs, unchecked."""
+        res = cls.__new__(cls)
+        res.nrows = nrows
+        res._terms = terms
+        return res
+
+    @classmethod
     def zero(cls, nrows: int) -> "XPoly":
-        return cls(nrows)
+        return cls._make(nrows, {})
 
     @classmethod
     def const(cls, nrows: int, c) -> "XPoly":
-        return cls(nrows, {(0,) * (2 * nrows): c})
+        re, im = _pair(c)
+        return cls._make(nrows, {0: (re, im)} if re or im else {})
 
     @classmethod
     def variable(cls, nrows: int, row: int, col: int) -> "XPoly":
-        mono = [0] * (2 * nrows)
-        mono[var_index(row, col, nrows)] = 1
-        return cls(nrows, {tuple(mono): GR_ONE})
+        return cls._make(nrows, {_unit(nrows, row, col): (1, 0)})
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        width = 2 * self.nrows
+        return {_unpack(m, width): GaussRat(re, im)
+                for m, (re, im) in self._terms.items()}
 
     def coefficient(self, mono: tuple) -> GaussRat:
-        return self._terms.get(tuple(mono), GR_ZERO)
+        try:
+            key = _pack(mono, 2 * self.nrows)
+        except ArithmeticError:  # no stored monomial is that large
+            return GR_ZERO
+        pair = self._terms.get(key)
+        return GR_ZERO if pair is None else GaussRat(*pair)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def monomials(self) -> list[tuple]:
-        return sorted(self._terms)
+        width = 2 * self.nrows
+        return [_unpack(m, width) for m in sorted(self._terms)]
 
     def total_degree(self) -> int:
         if not self._terms:
             return 0
-        return max(sum(m) for m in self._terms)
+        width = 2 * self.nrows
+        return max(sum(m.to_bytes(width, "big")) for m in self._terms)
 
     def _check_ring(self, other: "XPoly"):
         if self.nrows != other.nrows:
@@ -197,22 +271,21 @@ class XPoly:
             return NotImplemented
         self._check_ring(other)
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = out.get(m, GR_ZERO) + c
-            if acc:
-                out[m] = acc
+        for m, pair in other._terms.items():
+            old = out.get(m)
+            if old is None:
+                out[m] = pair
+                continue
+            re, im = old[0] + pair[0], old[1] + pair[1]
+            if re or im:
+                out[m] = (re, im)
             else:
-                out.pop(m, None)
-        res = XPoly.__new__(XPoly)
-        res.nrows = self.nrows
-        res._terms = out
-        return res
+                del out[m]
+        return XPoly._make(self.nrows, out)
 
     def __neg__(self):
-        res = XPoly.__new__(XPoly)
-        res.nrows = self.nrows
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
+        return XPoly._make(self.nrows, {m: (-re, -im) for m, (re, im)
+                                        in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, XPoly):
@@ -220,38 +293,39 @@ class XPoly:
         return self + (-other)
 
     def scale(self, c) -> "XPoly":
-        coeff = c if isinstance(c, GaussRat) else GaussRat(c)
-        if not coeff:
+        c, d = _pair(c)
+        if not (c or d):
             return XPoly.zero(self.nrows)
-        res = XPoly.__new__(XPoly)
-        res.nrows = self.nrows
-        res._terms = {m: x * coeff for m, x in self._terms.items()}
-        return res
+        items = self._terms.items()
+        # a real or an imaginary scalar skips the products with zero
+        if not d:
+            terms = {m: (a and a * c, b and b * c) for m, (a, b) in items}
+        elif not c:
+            terms = {m: (b and -b * d, a and a * d) for m, (a, b) in items}
+        else:
+            terms = {m: (a * c - b * d, a * d + b * c) for m, (a, b) in items}
+        return XPoly._make(self.nrows, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.scale(other)
         if not isinstance(other, XPoly):
+            if isinstance(other, (int, Fraction, GaussRat)):
+                return self.scale(other)
             return NotImplemented
         self._check_ring(other)
-        # accumulate raw [re, im] parts; one GaussRat per product term
-        acc: dict[tuple, list] = {}
-        right = [(m2, c2.re, c2.im) for m2, c2 in other._terms.items()]
-        for m1, c1 in self._terms.items():
-            a, b = c1.re, c1.im
+        acc: dict[int, tuple] = {}
+        get = acc.get
+        right = [(m2, c, d) for m2, (c, d) in other._terms.items()]
+        for m1, (a, b) in self._terms.items():
             for m2, c, d in right:
-                m = tuple(map(add, m1, m2))
-                parts = acc.get(m)
-                if parts is None:
-                    acc[m] = [a * c - b * d, a * d + b * c]
+                m = m1 + m2
+                old = get(m)
+                if old is None:
+                    acc[m] = (a * c - b * d, a * d + b * c)
                 else:
-                    parts[0] += a * c - b * d
-                    parts[1] += a * d + b * c
-        res = XPoly.__new__(XPoly)
-        res.nrows = self.nrows
-        res._terms = {m: GaussRat(re, im) for m, (re, im) in acc.items()
-                      if re or im}
-        return res
+                    acc[m] = (old[0] + a * c - b * d, old[1] + a * d + b * c)
+        _check_fields(acc, 2 * self.nrows)
+        return XPoly._make(self.nrows, {m: v for m, v in acc.items()
+                                        if v[0] or v[1]})
 
     __rmul__ = __mul__
 
@@ -273,15 +347,14 @@ class XPoly:
         return self.nrows == other.nrows and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.nrows, tuple(sorted(
-            (m, c.re, c.im) for m, c in self._terms.items()))))
+        return hash((self.nrows, frozenset(self._terms.items())))
 
     def eval_at(self, values: Iterable) -> GaussRat:
         vals = [v if isinstance(v, GaussRat) else GaussRat(v) for v in values]
         if len(vals) != 2 * self.nrows:
             raise ValueError("expected %d values" % (2 * self.nrows))
         total = GR_ZERO
-        for m, c in self._terms.items():
+        for m, c in self.terms.items():
             term = c
             for v, e in zip(vals, m):
                 for _ in range(e):
@@ -293,12 +366,12 @@ class XPoly:
         if not self._terms:
             return "0"
         bits = []
+        terms = self.terms
         for m in self.monomials():
-            c = self._terms[m]
             vars_ = "*".join(
                 "x%d%d" % (i // 2 + 1, i % 2 + 1) + ("^%d" % e if e > 1 else "")
                 for i, e in enumerate(m) if e)
-            bits.append("%r%s" % (c, "*" + vars_ if vars_ else ""))
+            bits.append("%r%s" % (terms[m], "*" + vars_ if vars_ else ""))
         return " + ".join(bits)
 
 
@@ -313,13 +386,9 @@ def minor(i: int, j: int, nrows: int) -> XPoly:
 def _quadratic(nrows: int, terms) -> XPoly:
     """The sum of c * x_{r1,c1} x_{r2,c2} over (r1, c1, r2, c2, c) in terms,
     whose monomials are distinct."""
-    out = {}
-    for r1, c1, r2, c2, c in terms:
-        mono = [0] * (2 * nrows)
-        mono[var_index(r1, c1, nrows)] += 1
-        mono[var_index(r2, c2, nrows)] += 1
-        out[tuple(mono)] = c
-    return XPoly(nrows, out)
+    return XPoly._make(nrows, {
+        _unit(nrows, r1, c1) + _unit(nrows, r2, c2): (c, 0)
+        for r1, c1, r2, c2, c in terms})
 
 
 def z_A(f: Multidissection) -> XPoly:
@@ -331,10 +400,6 @@ def z_A(f: Multidissection) -> XPoly:
     for e, m in f.items():
         out = out * minor(e.i, e.j, n) ** m
     return out
-
-
-# the scalar of each type C edge factor, kept out of the factor itself
-_C_EDGE_SCALAR = {CIntegrated: GR_HALF, CSegregated: GR_INV_2I}
 
 
 def _z_c_edge(n: int, e) -> XPoly:
@@ -352,16 +417,20 @@ def z_C(f: Multidissection) -> XPoly:
     """Product of the edge factors: a diameter's is x_{a1} x_{a2}, a
     chord pair's is (x_{a1} x_{b2} +- x_{a2} x_{b1}) times 1/2 for an
     integrated pair and 1/(2i) for a segregated one.  The scalars are
-    multiplied in once, after the integer product."""
+    multiplied in once, after the integer product, as
+    (-i)^(segregated pairs) / 2^(chord pairs)."""
     if f.family not in ("C", "classicalBC"):
         raise ValueError("expected a type C multidissection")
     out = XPoly.const(f.n, 1)
-    scalar = GR_ONE
+    pairs = segregated = 0
     for e, m in f.items():
         out = out * _z_c_edge(f.n, e) ** m
-        for _ in range(m):
-            scalar = scalar * _C_EDGE_SCALAR.get(type(e), GR_ONE)
-    return out.scale(scalar)
+        if not isinstance(e, CDiameter):
+            pairs += m
+            segregated += m if isinstance(e, CSegregated) else 0
+    re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[segregated % 4]
+    return out.scale(GaussRat(Fraction(re, 1 << pairs),
+                              Fraction(im, 1 << pairs)))
 
 
 def _z_d_edge(n: int, e) -> XPoly:
@@ -396,7 +465,8 @@ def row_degrees(p: XPoly) -> tuple[int, ...]:
         raise ValueError("the zero polynomial has no weight")
     common = None
     for m in p._terms:
-        vec = tuple(m[2 * r] + m[2 * r + 1] for r in range(p.nrows))
+        exps = m.to_bytes(2 * p.nrows, "big")
+        vec = tuple(map(add, exps[0::2], exps[1::2]))
         if common is None:
             common = vec
         elif vec != common:
@@ -412,7 +482,7 @@ def d_degree(p: XPoly, n: int) -> int:
         raise ValueError("ring has fewer than %d rows" % n)
     common = None
     for m in p._terms:
-        deg = sum(m[2 * r] + m[2 * r + 1] for r in range(n))
+        deg = sum(m.to_bytes(2 * p.nrows, "big")[:2 * n])
         if common is None:
             common = deg
         elif deg != common:
@@ -433,36 +503,31 @@ def j_reduce(p: XPoly, n: int) -> XPoly:
     """Remainder of p under rewriting by the last minor, eliminating the
     monomial x_{n+1,1} x_{n+2,2}.  A single generator is a Groebner basis
     of its principal ideal, so the remainder vanishes exactly on ideal
-    members."""
+    members.  A monomial holding the leading product t times is rewritten
+    t times in one step: x_{n+1,1}^t x_{n+2,2}^t becomes
+    x_{n+1,2}^t x_{n+2,1}^t, with the same coefficient."""
     N = n + 2
     if p.nrows != N:
         raise ValueError("expected the %d-row ambient ring" % N)
-    lead_a = var_index(n + 1, 1, N)
-    lead_b = var_index(n + 2, 2, N)
-    tail_a = var_index(n + 1, 2, N)
-    tail_b = var_index(n + 2, 1, N)
-    terms = dict(p._terms)
-    while True:
-        target = None
-        for mono in terms:
-            if mono[lead_a] >= 1 and mono[lead_b] >= 1:
-                target = mono
-                break
-        if target is None:
-            break
-        c = terms.pop(target)
-        new = list(target)
-        new[lead_a] -= 1
-        new[lead_b] -= 1
-        new[tail_a] += 1
-        new[tail_b] += 1
-        key = tuple(new)
-        acc = terms.get(key, GR_ZERO) + c
-        if acc:
-            terms[key] = acc
+    lead_a, lead_b = _unit(N, n + 1, 1), _unit(N, n + 2, 2)
+    shift_a, shift_b = lead_a.bit_length() - 1, lead_b.bit_length() - 1
+    step = _unit(N, n + 1, 2) + _unit(N, n + 2, 1) - lead_a - lead_b
+    terms: dict[int, tuple] = {}
+    for m, pair in p._terms.items():
+        t = min((m >> shift_a) & 0xFF, (m >> shift_b) & 0xFF)
+        if t:
+            m += t * step
+        old = terms.get(m)
+        if old is None:
+            terms[m] = pair
+            continue
+        re, im = old[0] + pair[0], old[1] + pair[1]
+        if re or im:
+            terms[m] = (re, im)
         else:
-            terms.pop(key, None)
-    return XPoly(N, terms)
+            del terms[m]
+    _check_fields(terms, 2 * N)
+    return XPoly._make(N, terms)
 
 
 def j_member(p: XPoly, n: int) -> bool:
@@ -506,10 +571,11 @@ def _rank_mod_p(polys: tuple) -> int | None:
     pivots: dict[int, dict] = {}
     for poly in polys:
         row = {}
-        for m, c in poly._terms.items():
-            re, im = _mod_p(c.re), _mod_p(c.im)
-            if re is None or im is None:
-                return None
+        for m, (re, im) in poly._terms.items():
+            if type(re) is not int or type(im) is not int:
+                re, im = _mod_p(re), _mod_p(im)
+                if re is None or im is None:
+                    return None
             v = (re + s * im) % p
             if v:
                 row[cols[m]] = v
@@ -541,7 +607,7 @@ def _eliminate(polys: tuple) -> tuple[int, tuple | None]:
     pivots: dict[int, tuple[dict, dict | None]] = {}
     witness = None
     for idx, poly in enumerate(polys):
-        row = {cols[m]: c for m, c in poly._terms.items()}
+        row = {cols[m]: GaussRat(*c) for m, c in poly._terms.items()}
         # combinations are tracked only until the first witness is found
         comb = {idx: GR_ONE} if witness is None else None
         while row:
@@ -601,16 +667,47 @@ def dependency_witness(polys: list[XPoly]) -> list[tuple[int, GaussRat]] | None:
 # ---------------------------------------------------------------------------
 
 
+def _signed_permutation(nrows: int, images: tuple) -> tuple | None:
+    """For images c_i * x_{s(i)} with s a permutation of the variables:
+    the source variable of each target variable, and the (i, c_i) pairs
+    with c_i != 1.  None for any other images."""
+    width = 2 * nrows
+    source = [None] * width
+    scalars = []
+    for i, image in enumerate(images):
+        if image.nrows != nrows or len(image._terms) != 1:
+            return None
+        (m, pair), = image._terms.items()
+        shift = m.bit_length() - 1
+        if shift < 0 or shift % 8 or m != 1 << shift:
+            return None
+        j = width - 1 - shift // 8
+        if source[j] is not None:
+            return None
+        source[j] = i
+        if pair != (1, 0):
+            scalars.append((i, pair))
+    return tuple(source), tuple(scalars)
+
+
 @dataclass(frozen=True)
 class VarSubstitution:
-    """Linear images, one XPoly per variable of the ambient ring."""
+    """Linear images, one XPoly per variable of the ambient ring.
+
+    When the images are scalar multiples of the variables in some order,
+    as for every rotation, apply() moves each exponent to its image's
+    field and multiplies in the scalars; otherwise it expands products of
+    the images."""
 
     nrows: int
     images: tuple[XPoly, ...]
+    _permutation: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != 2 * self.nrows:
             raise ValueError("need an image for every variable")
+        object.__setattr__(self, "_permutation",
+                           _signed_permutation(self.nrows, self.images))
 
     @classmethod
     def from_map(cls, nrows: int, mapping: dict) -> "VarSubstitution":
@@ -623,14 +720,28 @@ class VarSubstitution:
     def apply(self, p: XPoly) -> XPoly:
         if p.nrows != self.nrows:
             raise ValueError("substitution ring mismatch")
-        out = XPoly.zero(self.nrows)
-        for mono, c in p._terms.items():
-            term = XPoly.const(self.nrows, c)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * self.images[i] ** e
-            out = out + term
-        return out
+        width = 2 * self.nrows
+        if self._permutation is None:
+            out = XPoly.zero(self.nrows)
+            for m, pair in p._terms.items():
+                term = XPoly._make(self.nrows, {0: pair})
+                for i, e in enumerate(m.to_bytes(width, "big")):
+                    if e:
+                        term = term * self.images[i] ** e
+                out = out + term
+            return out
+        # a permutation of the fields maps distinct monomials to distinct
+        # monomials and keeps every exponent, so nothing merges or overflows
+        source, scalars = self._permutation
+        terms = {}
+        for m, (re, im) in p._terms.items():
+            exps = m.to_bytes(width, "big")
+            for i, (c, d) in scalars:
+                for _ in range(exps[i]):
+                    re, im = re * c - im * d, re * d + im * c
+            terms[int.from_bytes(bytes(map(exps.__getitem__, source)),
+                                 "big")] = (re, im)
+        return XPoly._make(self.nrows, terms)
 
     def apply_times(self, p: XPoly, t: int) -> XPoly:
         out = p

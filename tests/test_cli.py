@@ -302,6 +302,15 @@ def test_failed_invariant_exit_code(capsys, monkeypatch):
     assert "non-exact division" in captured.err
 
 
+def test_exponent_overflow_exit_code(capsys):
+    # a diameter of multiplicity 128 needs x_{a1}^128, one past the
+    # largest exponent a packed monomial holds
+    assert main(["audit", "basis-C", "--n", "2", "--k", "128"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exponent exceeds 127" in captured.err
+
+
 # --- determinism ----------------------------------------------------------------------
 
 def test_output_identical_across_worker_counts(tmp_path, capsys):

@@ -4,6 +4,7 @@ rotation equivariance, and the spanning conjecture audit."""
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,34 @@ def test_minor_is_two_by_two_determinant():
                 assert minor(i, j, 4).eval_at(pt) == det
 
 
+def test_xpoly_rejects_negative_and_non_integer_exponents():
+    # a negative exponent would borrow from the neighbouring packed field
+    for mono in [(-1, 0), (0, -2), (1.5, 0), (Fraction(1, 2), 0), ("1", 0)]:
+        with pytest.raises(ValueError):
+            XPoly(1, {mono: 1})
+    with pytest.raises(ValueError):
+        XPoly(1, {(1, 0, 0): 1})
+    assert XPoly(1, {(2, 3): 1}).total_degree() == 5
+
+
+def test_exponent_overflow_raises():
+    x = XPoly.variable(2, 1, 1)
+    y = XPoly.variable(2, 1, 2)
+    top = x ** 127 * y ** 127
+    assert top.monomials() == [(127, 127, 0, 0)]
+    for build in (lambda: x ** 128, lambda: top * x, lambda: x ** 100 * x ** 28,
+                  lambda: XPoly(2, {(128, 0, 0, 0): 1})):
+        with pytest.raises(ArithmeticError):
+            build()
+    # the rewrite x21 x32 -> x22 x31 pushes x22 past the largest exponent
+    n = 1
+    p = XPoly(3, {(0, 0, 1, 127, 0, 1): 1})
+    with pytest.raises(ArithmeticError):
+        j_reduce(p, n)
+    # no stored monomial can exceed the largest exponent
+    assert top.coefficient((128, 0, 0, 0)) == GR_ZERO
+
+
 def test_plucker_relation():
     # three-term quadratic relation among the six minors on four rows
     d = {(i, j): minor(i, j, 4) for i in range(1, 4) for j in range(i + 1, 5)}
@@ -318,6 +347,145 @@ def test_j_reduce_and_membership():
 
 def test_j_member_zero():
     assert j_member(XPoly.zero(5), 3)
+
+
+# --- the packed arithmetic against tuple-keyed references ------------------------
+# XPoly arithmetic as it was before monomials were packed into ints: dicts
+# from exponent tuples to GaussRat coefficients.
+
+def reference_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        acc = out.get(m, GR_ZERO) + c
+        if acc:
+            out[m] = acc
+        else:
+            out.pop(m, None)
+    return out
+
+
+def reference_mul(p, q):
+    acc = {}
+    right = [(m2, c2.re, c2.im) for m2, c2 in q.items()]
+    for m1, c1 in p.items():
+        a, b = c1.re, c1.im
+        for m2, c, d in right:
+            m = tuple(map(add, m1, m2))
+            parts = acc.get(m)
+            if parts is None:
+                acc[m] = [a * c - b * d, a * d + b * c]
+            else:
+                parts[0] += a * c - b * d
+                parts[1] += a * d + b * c
+    return {m: GaussRat(re, im) for m, (re, im) in acc.items() if re or im}
+
+
+def reference_pow(p, k, width):
+    out = {(0,) * width: GR_ONE}
+    for _ in range(k):
+        out = reference_mul(out, p)
+    return out
+
+
+def reference_j_reduce(terms, n):
+    N = n + 2
+    lead_a = var_index(n + 1, 1, N)
+    lead_b = var_index(n + 2, 2, N)
+    tail_a = var_index(n + 1, 2, N)
+    tail_b = var_index(n + 2, 1, N)
+    terms = dict(terms)
+    while True:
+        target = None
+        for mono in terms:
+            if mono[lead_a] >= 1 and mono[lead_b] >= 1:
+                target = mono
+                break
+        if target is None:
+            break
+        c = terms.pop(target)
+        new = list(target)
+        new[lead_a] -= 1
+        new[lead_b] -= 1
+        new[tail_a] += 1
+        new[tail_b] += 1
+        key = tuple(new)
+        acc = terms.get(key, GR_ZERO) + c
+        if acc:
+            terms[key] = acc
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+def reference_apply(images, terms, width):
+    out = {}
+    for mono, c in terms.items():
+        term = {(0,) * width: c}
+        for i, e in enumerate(mono):
+            if e:
+                term = reference_mul(term, reference_pow(images[i], e, width))
+        out = reference_add(out, term)
+    return out
+
+
+def small_parts():
+    return st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3),
+                                          st.integers(1, 4))
+
+
+def xpolys(nrows, max_exp=3):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * (2 * nrows)),
+        st.builds(GaussRat, small_parts(), small_parts()), max_size=4,
+    ).map(lambda terms: XPoly(nrows, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(xpolys(r), xpolys(r))),
+       st.integers(0, 3))
+def test_packed_arithmetic_matches_reference(pq, k):
+    p, q = pq
+    width = 2 * p.nrows
+    assert p.monomials() == sorted(p.terms)
+    assert XPoly(p.nrows, p.terms) == p
+    assert (p + q).terms == reference_add(p.terms, q.terms)
+    assert (p - q).terms == reference_add(
+        p.terms, {m: -c for m, c in q.terms.items()})
+    assert (p * q).terms == reference_mul(p.terms, q.terms)
+    assert (p ** k).terms == reference_pow(p.terms, k, width)
+    assert repr(p * q) == repr(XPoly(p.nrows, reference_mul(p.terms, q.terms)))
+
+
+def substitution_cases():
+    families = st.sampled_from(["A", "C", "D", "classicalA",
+                                "classicalBC", "classicalD"])
+    rotations = st.tuples(families, st.integers(1, 3)).map(
+        lambda fn: rotation_substitution(*fn))
+    # images that are no signed permutation take the expanding path
+    linear = st.integers(1, 2).flatmap(lambda r: st.lists(
+        xpolys(r, max_exp=1), min_size=2 * r, max_size=2 * r).map(
+            lambda images: VarSubstitution(r, tuple(images))))
+    return (rotations | linear).flatmap(
+        lambda sub: st.tuples(st.just(sub), xpolys(sub.nrows, max_exp=2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitution_cases())
+def test_substitution_matches_reference(case):
+    sub, p = case
+    images = [image.terms for image in sub.images]
+    assert sub.apply(p).terms == reference_apply(images, p.terms,
+                                                 2 * sub.nrows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), xpolys(n + 2))))
+def test_j_reduce_matches_reference(case):
+    n, p = case
+    assert j_reduce(p, n).terms == reference_j_reduce(p.terms, n)
+    # multiples of the generator reduce to zero
+    assert j_reduce(p * j_generator(n), n).is_zero()
 
 
 # --- rank and dependencies --------------------------------------------------------
