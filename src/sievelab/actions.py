@@ -19,6 +19,9 @@ symmetric family.
 
 from __future__ import annotations
 
+from collections import Counter
+from math import gcd
+
 from .polygons import (
     SOLID, DOTTED,
     CDiameter, CSegregated, CIntegrated,
@@ -100,29 +103,66 @@ def action_order(family: str, n: int, generator_step: int | None = None) -> int:
     return order
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, increasing."""
+    primes, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 def orbit_sizes(family: str, n: int, k: int,
                 generator_step: int | None = None) -> list[int]:
     """Orbit size of every k-edge multidissection, in enumeration order.
 
-    Each object's (edge index, multiplicity) tuple is rotated until it
-    comes back; generator^d fixes an object exactly when its orbit size
+    An orbit size divides the generator's exact order N.  Starting from
+    N, each prime p dividing N is divided out while generator^(size/p)
+    fixes the object, which leaves the least power that fixes it: one
+    rotate-and-sort per prime factor of N for an object with a full
+    orbit.  generator^d fixes an object exactly when its orbit size
     divides d."""
-    gen = _permutation(family, n, 1, generator_step)
+    order = action_order(family, n, generator_step)
+    primes = _prime_factors(order)
+    powers = {d: _permutation(family, n, d, generator_step)
+              for d in range(1, order) if order % d == 0}
     sizes = []
     for md in enumerate_multidissections(family, n, k):
-        start = cur = md.index_items()
-        size = 0
-        while size == 0 or cur != start:
-            cur = tuple(sorted((gen[i], m) for i, m in cur))
-            size += 1
+        items = md.index_items()
+        size = order
+        for p in primes:
+            while size % p == 0:
+                perm = powers[size // p]
+                if tuple(sorted((perm[i], m) for i, m in items)) != items:
+                    break
+                size //= p
         sizes.append(size)
     return sizes
+
+
+def fixed_counts(sizes, order: int) -> list[int]:
+    """Entry d, for 0 <= d <= order, counts the orbit sizes dividing d:
+    the objects fixed by generator^d, all of them at d = 0."""
+    counts = [0] * (order + 1)
+    for size, members in Counter(sizes).items():
+        for d in range(0, order + 1, size):
+            counts[d] += members
+    return counts
 
 
 def count_fixed(family: str, n: int, k: int, d: int,
                 generator_step: int | None = None) -> int:
     """Number of k-edge multidissections fixed by generator^d."""
-    return sum(d % s == 0 for s in orbit_sizes(family, n, k, generator_step))
+    # every orbit size s divides the order, so s | d exactly when
+    # s | gcd(d, order)
+    order = action_order(family, n, generator_step)
+    return fixed_counts(orbit_sizes(family, n, k, generator_step),
+                        order)[gcd(d, order)]
 
 
 # ---------------------------------------------------------------------------

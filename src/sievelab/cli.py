@@ -44,7 +44,7 @@ class RunConfig:
     k_values: tuple[int, ...]
     theorem: str | None
     audit: str | None
-    variant: str
+    variant: str | None
     generator_step: int | None
     fmt: str
     workers: int
@@ -404,8 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-range", metavar="LO:HI")
         p.add_argument("--k", type=int)
         p.add_argument("--k-range", metavar="LO:HI")
-        p.add_argument("--variant", choices=("printed", "shifted"),
-                       default="printed")
+        p.add_argument("--variant", choices=("printed", "shifted"))
         p.add_argument("--generator-step", type=int, choices=(1, 2))
         p.add_argument("--format", dest="fmt",
                        choices=("json", "csv", "text"), default="json")
@@ -437,6 +436,12 @@ def _config_from_args(args) -> RunConfig:
             or (theorem == "orbit-poly" and args.family == "classicalBC")):
         raise UsageError("--generator-step applies to verify --theorem "
                          "thm1.1-2 and orbit-poly --family classicalBC only")
+    if args.variant is not None and theorem != "thm1.1-2":
+        raise UsageError("--variant applies to verify --theorem thm1.1-2 only")
+    if args.limit is not None and args.command != "enumerate":
+        raise UsageError("--limit applies to enumerate only")
+    if args.exploratory and args.command == "enumerate":
+        raise UsageError("--exploratory applies to verify and audit only")
     return RunConfig(
         command=args.command,
         family=args.family,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from operator import add, or_
 from typing import Iterable
 
@@ -579,8 +580,15 @@ def _rank_mod_p(polys: tuple) -> int | None:
             v = (re + s * im) % p
             if v:
                 row[cols[m]] = v
+        # the row's columns as a heap: a reduction pushes each column it
+        # adds, and a popped column that has left the row is skipped, so
+        # the least column is found without a pass over the row
+        heap = list(row)
+        heapify(heap)
         while row:
-            lead = min(row)
+            lead = heappop(heap)
+            if lead not in row:
+                continue  # eliminated since it was pushed
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = pow(row[lead], -1, p)
@@ -588,7 +596,13 @@ def _rank_mod_p(polys: tuple) -> int | None:
                 break
             f = row[lead]
             for k, v in pivot.items():
-                w = (row.get(k, 0) - f * v) % p
+                w = row.get(k)
+                if w is None:
+                    # nonzero: p is prime and f, v are nonzero mod p
+                    row[k] = -f * v % p
+                    heappush(heap, k)
+                    continue
+                w = (w - f * v) % p
                 if w:
                     row[k] = w
                 else:
@@ -610,8 +624,12 @@ def _eliminate(polys: tuple) -> tuple[int, tuple | None]:
         row = {cols[m]: GaussRat(*c) for m, c in poly._terms.items()}
         # combinations are tracked only until the first witness is found
         comb = {idx: GR_ONE} if witness is None else None
+        heap = list(row)  # the row's columns, as in _rank_mod_p
+        heapify(heap)
         while row:
-            lead = min(row)
+            lead = heappop(heap)
+            if lead not in row:
+                continue
             if lead not in pivots:
                 inv = GR_ONE / row[lead]
                 pivots[lead] = ({k: v * inv for k, v in row.items()},
@@ -622,10 +640,12 @@ def _eliminate(polys: tuple) -> tuple[int, tuple | None]:
             f = row[lead]
             for k, v in pivot.items():
                 acc = row.get(k, GR_ZERO) - f * v
-                if acc:
-                    row[k] = acc
-                else:
+                if not acc:
                     del row[k]
+                    continue
+                if k not in row:
+                    heappush(heap, k)
+                row[k] = acc
             if comb is not None:
                 for i, c in pivot_comb.items():
                     acc = comb.get(i, GR_ZERO) - f * c
@@ -906,7 +926,7 @@ def lemma_basis_multidissections(n: int, k: int) -> tuple:
     weights = [(e.i <= n) + (e.j <= n) for e in table.edges]
     return tuple(Multidissection._from_items("A", n + 2, items)
                  for items in iter_weighted_assignments(
-                     weights, k, table.crossing))
+                     weights, k, table.crosses))
 
 
 def expected_dim_D(n: int, k: int) -> int:

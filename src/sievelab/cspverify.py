@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .actions import (
-    declared_group_order, fold_target_param, orbit_sizes, resolve_step,
+    declared_group_order, fixed_counts, fold_target_param, orbit_sizes,
+    resolve_step,
 )
 from .polygons import enumerate_multidissections
 from .qseries import IntLaurentPoly, RootEvaluation, eval_at_unity_root
@@ -91,21 +92,23 @@ def verify(instance: CspInstance) -> CspReport:
     divisor checks for genuine cyclic actions but cheaply expose wrong
     generator orders.
     """
-    sizes = orbit_sizes(instance.family, instance.n, instance.k,
-                        instance.generator_step)
+    counts = fixed_counts(orbit_sizes(instance.family, instance.n, instance.k,
+                                      instance.generator_step),
+                          instance.group_order)
     checks = []
     for d in range(1, instance.group_order + 1):
-        fixed = sum(d % s == 0 for s in sizes)
+        fixed = counts[d]
         ev = eval_at_unity_root(instance.polynomial, instance.group_order, d)
         passed = ev.is_integer and ev.value == fixed
         checks.append(CspCheck(d, fixed, ev, passed))
     return CspReport(instance, tuple(checks))
 
 
-def theorem_instance(selector: str, n: int, k: int, variant: str = "printed",
+def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
                      generator_step: int | None = None,
                      family: str | None = None) -> CspInstance:
-    """Build the verification instance for a named result."""
+    """Build the verification instance for a named result.  Only
+    thm1.1-2 reads `variant`, and None there means "printed"."""
     if selector == "thm2.5":
         return CspInstance("A", n, k, build_X_typeA(n, k), n, label=selector)
     if selector == "thm3.4":
@@ -116,6 +119,7 @@ def theorem_instance(selector: str, n: int, k: int, variant: str = "printed",
         return CspInstance("classicalA", n, k, build_X_thm11(1, n, k), n,
                            label=selector)
     if selector == "thm1.1-2":
+        variant = "printed" if variant is None else variant
         return CspInstance("classicalBC", n, k, build_X_thm11(2, n, k, variant),
                            n, variant=variant, generator_step=generator_step,
                            label=selector)
@@ -194,15 +198,16 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
     """
     if n < 1:
         raise ValueError("needs n >= 1")
-    sizes = orbit_sizes("D", n, k)
+    counts = fixed_counts(orbit_sizes("D", n, k), 2 * n)
     # odd powers compare with centrally symmetric objects of half the
     # edges, of which there are none at odd k
-    half_sizes = [] if k % 2 else orbit_sizes("C", n, k // 2)
+    half_counts = fixed_counts([] if k % 2 else orbit_sizes("C", n, k // 2),
+                               2 * n)
     entries = []
     for d in range(1, 2 * n + 1):
         if (2 * n) % d:
             continue
-        fixed = sum(d % s == 0 for s in sizes)
+        fixed = counts[d]
         if d % 2 == 0:
             p = fold_target_param(n, d)
             scaled = k * d // n if n % d == 0 else k * d // (2 * n)
@@ -211,7 +216,7 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
             entries.append(FoldingEntry(d, "even", fixed, expected,
                                         fixed == expected, p, scaled if exact else None))
         else:
-            expected = sum(d % s == 0 for s in half_sizes)
+            expected = half_counts[d]
             entries.append(FoldingEntry(d, "odd", fixed, expected,
                                         fixed == expected))
     return FoldingReport(n, k, tuple(entries))

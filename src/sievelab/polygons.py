@@ -15,7 +15,7 @@ two edges; everything else weighs one.
 
 All per-edge facts of one (family, n) live in its `EdgeTable`: the
 universe in canonical order, each edge's position, weights, crossing
-pairs and the one-vertex-step rotation, all by edge position.
+masks and the one-vertex-step rotation, all by edge position.
 `edge_table` builds it once and keeps the last few.
 """
 
@@ -158,15 +158,15 @@ class EdgeTable:
 
     `edges` is the universe in canonical order, so an edge's position is
     its identity; `index` maps an edge back to that position.  `weights`
-    are the per-edge edge-count contributions, `crossing` holds the index
-    pairs (i < j) of crossing edges, and `rotation` is one vertex step of
+    are the per-edge edge-count contributions, bit j of `crosses[i]` is
+    set when edges i and j cross, and `rotation` is one vertex step of
     the polygon (with every colored diameter swapping color) as a
     permutation of positions."""
 
     edges: tuple
     index: dict
     weights: tuple[int, ...]
-    crossing: frozenset
+    crosses: tuple[int, ...]
     rotation: tuple[int, ...]
 
 
@@ -209,12 +209,16 @@ def edge_table(family: str, n: int) -> EdgeTable:
 
     position = {(chords(e, 0), getattr(e, "color", None)): i
                 for i, e in enumerate(edges)}
+    crosses = [0] * len(edges)
+    for i, j in combinations(range(len(edges)), 2):
+        if edges_cross(family, n, edges[i], edges[j]):
+            crosses[i] |= 1 << j
+            crosses[j] |= 1 << i
     return EdgeTable(
         edges=edges,
         index={e: i for i, e in enumerate(edges)},
         weights=tuple(edge_weight(family, e) for e in edges),
-        crossing=frozenset((i, j) for i, j in combinations(range(len(edges)), 2)
-                           if edges_cross(family, n, edges[i], edges[j])),
+        crosses=tuple(crosses),
         rotation=tuple(position[chords(e, 1), swap.get(getattr(e, "color", None))]
                        for e in edges))
 
@@ -245,8 +249,13 @@ class Multidissection:
             if m:
                 items.append((table.index[e], int(m)))
         items.sort()
-        for (i, _), (j, _) in combinations(items, 2):
-            if (i, j) in table.crossing:
+        later = sum(1 << i for i, _ in items)
+        for i, _ in items:
+            later ^= 1 << i
+            hit = table.crosses[i] & later
+            if hit:
+                # the least crossing partner after i, as in pair order
+                j = (hit & -hit).bit_length() - 1
                 raise ValueError("crossing edges %r and %r"
                                  % (table.edges[i], table.edges[j]))
         self.family = family
@@ -326,13 +335,13 @@ def edge_label(e) -> dict:
     raise TypeError("not an edge: %r" % (e,))
 
 
-def iter_weighted_assignments(weights, target: int, crossing_pairs,
+def iter_weighted_assignments(weights, target: int, crosses,
                               max_mult: int | None = None) -> Iterator[tuple]:
     """Backtrack over edge indices in order, yielding every pairwise
     noncrossing support with sum(mult * weight) == target as sorted
     (edge index, multiplicity) pairs.
 
-    `crossing_pairs` holds index pairs (i < j) that cross, and `max_mult`
+    Bit j of `crosses[i]` is set when edges i and j cross, and `max_mult`
     optionally caps the per-edge multiplicity.  Edges of weight 0 are
     never chosen.
     """
@@ -340,26 +349,26 @@ def iter_weighted_assignments(weights, target: int, crossing_pairs,
         raise ValueError("weights must be >= 0")
     chosen: list[tuple[int, int]] = []
 
-    def rec(start: int, remaining: int):
+    def rec(start: int, remaining: int, blocked: int):
+        # `blocked` has a bit set for every edge crossing a chosen one
         if remaining == 0:
             yield tuple(chosen)
             return
         for idx in range(start, len(weights)):
             w = weights[idx]
-            if w == 0 or w > remaining:
-                continue
-            if any((j, idx) in crossing_pairs for j, _ in chosen):
+            if w == 0 or w > remaining or blocked >> idx & 1:
                 continue
             top = remaining // w
             if max_mult is not None:
                 top = min(top, max_mult)
+            below = blocked | crosses[idx]
             chosen.append((idx, 0))
             for m in range(1, top + 1):
                 chosen[-1] = (idx, m)
-                yield from rec(idx + 1, remaining - m * w)
+                yield from rec(idx + 1, remaining - m * w, below)
             chosen.pop()
 
-    yield from rec(0, target)
+    yield from rec(0, target, 0)
 
 
 @lru_cache(maxsize=1)
@@ -370,7 +379,7 @@ def _enumerate_cached(family: str, n: int, k: int) -> tuple:
     max_mult = 1 if is_classical(family) else None
     return tuple(Multidissection._from_items(family, n, items)
                  for items in iter_weighted_assignments(
-                     table.weights, k, table.crossing, max_mult))
+                     table.weights, k, table.crosses, max_mult))
 
 
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:

@@ -8,11 +8,13 @@ from sievelab.actions import (
     action_order,
     count_fixed,
     declared_group_order,
+    fixed_counts,
     fold,
     fold_target_param,
     invariant_multidissections,
     is_fixed,
     odd_power_correspondence,
+    orbit_sizes,
     resolve_step,
     rotate_edge,
     rotate_multidissection,
@@ -93,6 +95,24 @@ def reference_count_fixed(family, n, k, d, step):
                 for e, img in emap.items()}
     return sum(all(md.multiplicity(emap[e]) == m for e, m in md.support.items())
                for md in enumerate_multidissections(family, n, k))
+
+
+def reference_orbit_sizes(family, n, k, step):
+    """Rotate each object's (edge index, multiplicity) tuple by the
+    generator until it comes back, counting the steps."""
+    rotation = edge_table(family, n).rotation
+    gen = tuple(range(len(rotation)))
+    for _ in range(resolve_step(family, step)):
+        gen = tuple(rotation[i] for i in gen)
+    sizes = []
+    for md in enumerate_multidissections(family, n, k):
+        start = cur = md.index_items()
+        size = 0
+        while size == 0 or cur != start:
+            cur = tuple(sorted((gen[i], m) for i, m in cur))
+            size += 1
+        sizes.append(size)
+    return sizes
 
 
 def family_cases(n_max):
@@ -208,7 +228,7 @@ def test_action_order(family, n, step, order):
 def test_generator_powers_preserve_the_edge_table(case, d):
     # generator^d, composed here from the table's one-vertex-step rotation,
     # permutes edge positions with an order dividing the group order, maps
-    # crossing pairs onto crossing pairs and keeps every weight
+    # every edge's crossing mask onto its image's mask and keeps every weight
     family, n, step = case
     table = edge_table(family, n)
     size = len(table.edges)
@@ -221,8 +241,10 @@ def test_generator_powers_preserve_the_edge_table(case, d):
         power = tuple(perm[i] for i in power)
         order += 1
     assert declared_group_order(family, n) % order == 0
-    assert {tuple(sorted((perm[i], perm[j]))) for i, j in table.crossing} \
-        == table.crossing
+    # edges i and j cross exactly when perm[i] and perm[j] do
+    assert all(sum(1 << perm[j] for j in range(size) if mask >> j & 1)
+               == table.crosses[perm[i]]
+               for i, mask in enumerate(table.crosses))
     assert all(table.weights[perm[i]] == w for i, w in enumerate(table.weights))
     assert rotation_edge_map(family, n, d, step) == \
         tuple((e, table.edges[j]) for e, j in zip(table.edges, perm))
@@ -252,6 +274,24 @@ def test_count_fixed_matches_reference_filter(family, n, step):
                                          resolve_step(family, step))
             assert count_fixed(family, n, k, d, step) == want, (k, d)
             assert report.checks[d - 1].fixed_count == want, (k, d)
+
+
+@pytest.mark.parametrize("family,n,step",
+                         [c for c in family_cases(7) if c[1] <= 7])
+def test_orbit_sizes_match_orbit_walk(family, n, step):
+    # the stabilizer tests find the same orbit size as walking the orbit
+    for k in range(0, 5):
+        assert orbit_sizes(family, n, k, step) == \
+            reference_orbit_sizes(family, n, k, step), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=30), st.integers(0, 24))
+def test_fixed_counts_match_filter(sizes, order):
+    counts = fixed_counts(sizes, order)
+    assert len(counts) == order + 1
+    for d in range(order + 1):
+        assert counts[d] == sum(d % s == 0 for s in sizes), d
 
 
 def test_invariant_multidissections_consistency():

@@ -284,6 +284,49 @@ def test_generator_step_accepted_for_classicalBC(capsys, argv):
         assert json.loads(out)["reports"][0]["family"] == "classicalBC"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1"],
+    ["verify", "--theorem", "thm1.1-1", "--n", "5", "--k", "1"],
+    ["verify", "--theorem", "orbit-poly", "--family", "classicalBC",
+     "--n", "3", "--k", "1"],
+    ["enumerate", "--family", "A", "--n", "4", "--k", "1"],
+    ["audit", "basis-A", "--n", "3", "--k", "1"],
+])
+@pytest.mark.parametrize("variant", ["printed", "shifted"])
+def test_variant_rejected_where_unread(capsys, argv, variant):
+    code, out = run(capsys, argv + ["--variant", variant])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1"],
+    ["audit", "basis-A", "--n", "3", "--k", "1"],
+    ["audit", "folding", "--n", "3", "--k", "1"],
+])
+def test_limit_rejected_where_unread(capsys, argv):
+    code, out = run(capsys, argv + ["--limit", "3"])
+    assert code == 2
+    assert out == ""
+
+
+def test_exploratory_rejected_for_enumerate(capsys):
+    code, out = run(capsys, ["enumerate", "--family", "A", "--n", "4",
+                             "--k", "1", "--exploratory"])
+    assert code == 2
+    assert out == ""
+
+
+def test_variant_defaults_to_printed_for_thm11_2(capsys):
+    # no --variant and --variant printed give the same report
+    _, plain = run(capsys, ["verify", "--theorem", "thm1.1-2",
+                            "--n", "3", "--k", "1"])
+    _, printed = run(capsys, ["verify", "--theorem", "thm1.1-2",
+                              "--n", "3", "--k", "1", "--variant", "printed"])
+    assert plain == printed
+    assert json.loads(plain)["reports"][0]["variant"] == "printed"
+
+
 def test_enumerate_rejects_ranges(capsys):
     code, _ = run(capsys, ["enumerate", "--family", "A",
                            "--n-range", "3:4", "--k", "1"])

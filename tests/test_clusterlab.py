@@ -673,6 +673,101 @@ def test_rank_matches_oracle_property(polys):
         assert total.is_zero()
 
 
+# --- least-column pivoting --------------------------------------------------------
+#
+# Both eliminations keep a heap of each row's columns to find its least
+# one.  These are the versions that scanned the whole row with min() at
+# every reduction step; pivots, ranks and witnesses must not change.
+
+def reference_rank_mod_p(polys):
+    p, s = _PRIME, _SQRT_M1
+    cols = clusterlab._columns(polys)
+    pivots = {}
+    for poly in polys:
+        row = {}
+        for m, (re, im) in poly._terms.items():
+            re, im = clusterlab._mod_p(re), clusterlab._mod_p(im)
+            if re is None or im is None:
+                return None
+            v = (re + s * im) % p
+            if v:
+                row[cols[m]] = v
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                break
+            f = row[lead]
+            for k, v in pivot.items():
+                w = (row.get(k, 0) - f * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+    return len(pivots)
+
+
+def reference_eliminate(polys):
+    cols = clusterlab._columns(polys)
+    pivots = {}
+    witness = None
+    for idx, poly in enumerate(polys):
+        row = {cols[m]: GaussRat(*c) for m, c in poly._terms.items()}
+        comb = {idx: GR_ONE} if witness is None else None
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = GR_ONE / row[lead]
+                pivots[lead] = ({k: v * inv for k, v in row.items()},
+                                None if comb is None
+                                else {i: c * inv for i, c in comb.items()})
+                break
+            pivot, pivot_comb = pivots[lead]
+            f = row[lead]
+            for k, v in pivot.items():
+                acc = row.get(k, GR_ZERO) - f * v
+                if acc:
+                    row[k] = acc
+                else:
+                    del row[k]
+            if comb is not None:
+                for i, c in pivot_comb.items():
+                    acc = comb.get(i, GR_ZERO) - f * c
+                    if acc:
+                        comb[i] = acc
+                    else:
+                        comb.pop(i, None)
+        if not row and comb is not None:
+            witness = tuple(sorted(comb.items()))
+    return len(pivots), witness
+
+
+# few monomials and many rows, so that reductions take several steps and
+# bring in columns below the ones a row started with
+overlapping_xpolys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.builds(GaussRat, st.integers(-2, 2), st.integers(-2, 2)), max_size=5,
+).map(lambda terms: XPoly(1, terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(overlapping_xpolys, max_size=10))
+def test_eliminations_match_min_scan_reference(polys):
+    polys = tuple(polys)
+    assert clusterlab._rank_mod_p(polys) == reference_rank_mod_p(polys)
+    assert clusterlab._eliminate.__wrapped__(polys) == reference_eliminate(polys)
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 2)])
+def test_eliminations_match_min_scan_reference_on_audit_lists(n, k):
+    polys = tuple(z_D(f) for f in enumerate_multidissections("D", n, k))
+    polys += tuple(z_A(f) for f in lemma_basis_multidissections(n, k))
+    assert clusterlab._rank_mod_p(polys) == reference_rank_mod_p(polys)
+    assert clusterlab._eliminate.__wrapped__(polys) == reference_eliminate(polys)
+
+
 # --- bases -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,k,count", [

@@ -4,6 +4,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab.actions import declared_group_order, rotate_multidissection
 from sievelab.polygons import (
@@ -18,11 +20,13 @@ from sievelab.polygons import (
     DPairSeg,
     SOLID,
     Multidissection,
+    edge_table,
     edge_universe,
     edge_weight,
     edges_cross,
     enumerate_classical,
     enumerate_multidissections,
+    iter_weighted_assignments,
     min_n,
     polygon_size,
 )
@@ -78,6 +82,16 @@ def test_crossing_matches_oracle(family, n):
         assert edges_cross(family, n, e1, e2) == oracle_cross(family, n, e1, e2), (e1, e2)
     for e in universe:
         assert not edges_cross(family, n, e, e)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_crossing_masks_match_edges_cross(family):
+    for n in range(min_n(family), min_n(family) + 4):
+        table = edge_table(family, n)
+        for i, e1 in enumerate(table.edges):
+            for j, e2 in enumerate(table.edges):
+                assert (table.crosses[i] >> j & 1) == edges_cross(family, n, e1, e2)
+            assert table.crosses[i] >> len(table.edges) == 0
 
 
 def test_d_diameter_rule():
@@ -242,6 +256,19 @@ def test_multidissection_validation():
     assert md.items() == [(AEdge(1, 4), 2)]
 
 
+def test_validation_names_the_first_crossing_pair():
+    # pairs are taken in canonical edge order: (1,4) crosses (2,5) and
+    # (3,5), and (2,5) crosses (3,6); the first of these pairs is named
+    support = {AEdge(3, 6): 1, AEdge(3, 5): 1, AEdge(2, 5): 1, AEdge(1, 4): 1}
+    with pytest.raises(ValueError, match=r"crossing edges AEdge\(i=1, j=4\) "
+                                         r"and AEdge\(i=2, j=5\)$"):
+        Multidissection("A", 6, support)
+    # the least edge crosses nothing, so the pair after it is named
+    with pytest.raises(ValueError, match=r"crossing edges AEdge\(i=2, j=5\) "
+                                         r"and AEdge\(i=3, j=6\)$"):
+        Multidissection("A", 6, {AEdge(1, 2): 1, AEdge(2, 5): 1, AEdge(3, 6): 1})
+
+
 def test_foreign_edge_rejected_at_zero_multiplicity():
     # membership is checked before a zero multiplicity is dropped
     with pytest.raises(ValueError, match="not valid for family C"):
@@ -269,6 +296,56 @@ def test_enumeration_has_no_duplicates():
         assert len({m.key() for m in mds}) == len(mds)
         for md in mds:
             assert md.edge_count() == k
+
+
+# --- reference enumerator -----------------------------------------------------
+
+def reference_weighted_assignments(weights, target, crossing_pairs, max_mult):
+    """The enumerator before crossing masks: each candidate edge is tested
+    against every chosen edge through the set of crossing index pairs."""
+    chosen = []
+
+    def rec(start, remaining):
+        if remaining == 0:
+            yield tuple(chosen)
+            return
+        for idx in range(start, len(weights)):
+            w = weights[idx]
+            if w == 0 or w > remaining:
+                continue
+            if any((j, idx) in crossing_pairs for j, _ in chosen):
+                continue
+            top = remaining // w
+            if max_mult is not None:
+                top = min(top, max_mult)
+            chosen.append((idx, 0))
+            for m in range(1, top + 1):
+                chosen[-1] = (idx, m)
+                yield from rec(idx + 1, remaining - m * w)
+            chosen.pop()
+
+    yield from rec(0, target)
+
+
+@st.composite
+def weighted_systems(draw):
+    """Random weights (0 included) and a random crossing relation."""
+    weights = draw(st.lists(st.integers(0, 3), max_size=9))
+    pairs = list(combinations(range(len(weights)), 2))
+    crossing = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return weights, crossing
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_systems(), st.integers(0, 6), st.sampled_from([None, 1, 2]))
+def test_mask_enumerator_matches_pair_reference(system, target, max_mult):
+    weights, crossing = system
+    crosses = [0] * len(weights)
+    for i, j in crossing:
+        crosses[i] |= 1 << j
+        crosses[j] |= 1 << i
+    assert list(iter_weighted_assignments(weights, target, crosses, max_mult)) \
+        == list(reference_weighted_assignments(weights, target, crossing, max_mult))
 
 
 # --- oracle for the objects built without validation ------------------------
