@@ -384,3 +384,62 @@ def test_out_file_contains_json(tmp_path, capsys):
                  "--out", str(f)]) == 0
     capsys.readouterr()
     assert json.loads(f.read_text())["count"] == 4
+
+
+# verify and enumerate output in csv and text: a failing sweep with
+# MISMATCH lines, an orbit-poly report with an empty variant cell, and a
+# truncated listing.  Recorded before the renderers were merged.
+OTHER_GOLDEN_CASES = [
+    ("verify-thm1.1-2", ["verify", "--theorem", "thm1.1-2", "--n-range", "2:3",
+                         "--k-range", "1:2"], 1),
+    ("verify-orbit-poly-classicalBC", ["verify", "--theorem", "orbit-poly",
+                                       "--family", "classicalBC", "--n", "3",
+                                       "--k", "1", "--generator-step", "1"], 0),
+    ("enumerate-D-limit", ["enumerate", "--family", "D", "--n", "2", "--k", "2",
+                           "--limit", "3"], 0),
+]
+
+
+@pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("text", "txt")])
+@pytest.mark.parametrize("name,args,exit_code", OTHER_GOLDEN_CASES,
+                         ids=[name for name, _, _ in OTHER_GOLDEN_CASES])
+def test_output_matches_golden(capsys, name, args, exit_code, fmt, ext):
+    code, out = run(capsys, args + ["--format", fmt])
+    assert code == exit_code
+    assert out == (GOLDEN / ("%s.%s" % (name, ext))).read_text()
+
+
+def test_failing_folding_and_equivariance_output(capsys, monkeypatch):
+    # no real input makes these audits fail, so feed canned failing reports
+    from sievelab.clusterlab import EquivarianceReport
+    from sievelab.cspverify import FoldingEntry, FoldingReport
+    from sievelab.polygons import enumerate_multidissections
+
+    def folding(n, k):
+        return FoldingReport(n, k, (FoldingEntry(1, "odd", 3, 3, True),
+                                    FoldingEntry(2, "even", 5, 4, False, 1, 1)))
+
+    def equivariance(family, n, k):
+        mds = enumerate_multidissections(family, n, k)
+        return EquivarianceReport(family, n, k, "exact", len(mds),
+                                  tuple(mds[:2]), False)
+
+    monkeypatch.setattr(cli, "verify_folding_consistency", folding)
+    monkeypatch.setattr(cli, "verify_equivariance", equivariance)
+    cases = [
+        (["folding", "--n", "2", "--k", "1"], "csv",
+         "n,k,d,parity,fixed,expected,pass\n"
+         "2,1,1,odd,3,3,True\n"
+         "2,1,2,even,5,4,False\n"),
+        (["folding", "--n", "2", "--k", "1"], "text",
+         "folding n=2 k=1 pass=False\n"
+         "  d=2 even fixed=5 expected=4 MISMATCH\n"),
+        (["equivariance", "--family", "A", "--n", "4", "--k", "1"], "csv",
+         "family,n,k,mode,total,failures,pass\n"
+         "A,4,1,exact,6,2,False\n"),
+        (["equivariance", "--family", "A", "--n", "4", "--k", "1"], "text",
+         "equivariance family=A n=4 k=1 mode=exact total=6 pass=False\n"),
+    ]
+    for args, fmt, want in cases:
+        code, out = run(capsys, ["audit"] + args + ["--format", fmt])
+        assert (code, out) == (1, want)
