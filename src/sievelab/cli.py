@@ -16,7 +16,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 from .clusterlab import (
     character_check_A, character_check_D, check_basis_A, check_basis_C,
@@ -29,8 +31,6 @@ from .polygons import FAMILIES, enumerate_multidissections
 from .qseries import IntLaurentPoly
 from .symfunc import ones_point, principal_point
 
-AUDIT_SELECTORS = ("basis-A", "basis-C", "conjecture-D", "equivariance",
-                   "characters", "folding")
 
 class UsageError(Exception):
     pass
@@ -119,42 +119,88 @@ def _character_probes(family: str, n: int):
 def _character_report(family: str, n: int, k: int) -> dict:
     points = []
     for name, y, z in _character_probes(family, n):
-        if family == "A":
-            ok = character_check_A(n, k, y)
-            entry = {"point": name, "y": [str(v) for v in y], "pass": ok}
+        entry = {"point": name, "y": [str(v) for v in y]}
+        if z is None:
+            entry["pass"] = character_check_A(n, k, y)
         else:
-            ok = character_check_D(n, k, y, z)
-            entry = {"point": name, "y": [str(v) for v in y],
-                     "z": [str(v) for v in z], "pass": ok}
+            entry["z"] = [str(v) for v in z]
+            entry["pass"] = character_check_D(n, k, y, z)
         points.append(entry)
     return {"family": family, "n": n, "k": k, "points": points,
             "pass": all(p["pass"] for p in points)}
 
 
+def _verify_report(family, n, k, theorem, variant, step) -> dict:
+    report = verify(theorem_instance(theorem, n, k, variant=variant,
+                                     generator_step=step, family=family))
+    return {**report.to_json_dict(), "pass": report.csp_holds}
+
+
+class Report(NamedTuple):
+    """One kind of sweep task.  `run(family, n, k, *extra)` returns the
+    report dict; it looks library functions up by name when called, so
+    they can be rebound.  csv writes a report's `columns`, then a row per
+    item of its list `entries` with `entry_columns`; text writes
+    `line % report`, then `mismatch % item` per failing item."""
+    run: Callable[..., dict]
+    columns: tuple[str, ...]
+    line: str
+    entries: str | None = None
+    entry_columns: tuple[str, ...] = ()
+    mismatch: str | None = None
+
+
+_BASIS_COLUMNS = ("family", "n", "k", "count", "rank", "expected_dim", "pass")
+_BASIS_LINE = (" family=%(family)s n=%(n)d k=%(k)d count=%(count)d"
+               " rank=%(rank)d expected=%(expected_dim)d pass=%(pass)s")
+
+REPORTS = {
+    "verify": Report(
+        _verify_report,
+        ("family", "n", "k", "variant", "group_order", "label"),
+        "%(label)s family=%(family)s n=%(n)d k=%(k)d%(variant=)s"
+        " group_order=%(group_order)d csp_holds=%(csp_holds)s",
+        "checks", ("d", "fixed", "eval", "pass"),
+        "  d=%(d)d fixed=%(fixed)d eval=%(eval)s MISMATCH"),
+    "basis-A": Report(lambda family, n, k: check_basis_A(n, k).to_json_dict(),
+                      _BASIS_COLUMNS, "basis-A" + _BASIS_LINE),
+    "basis-C": Report(lambda family, n, k: check_basis_C(n, k).to_json_dict(),
+                      _BASIS_COLUMNS, "basis-C" + _BASIS_LINE),
+    "conjecture-D": Report(
+        lambda family, n, k: check_conjecture_D(n, k).to_json_dict(),
+        ("n", "k", "count", "rank", "expected_dim", "lemma_count",
+         "independent_mod_J", "spans", "pass"),
+        "conjecture-D n=%(n)d k=%(k)d count=%(count)d rank=%(rank)d"
+        " expected=%(expected_dim)d independent=%(independent_mod_J)s"
+        " spans=%(spans)s pass=%(pass)s  (%(note)s)"),
+    "equivariance": Report(
+        lambda family, n, k: verify_equivariance(family, n, k).to_json_dict(),
+        ("family", "n", "k", "mode", "total", "failures", "pass"),
+        "equivariance family=%(family)s n=%(n)d k=%(k)d mode=%(mode)s"
+        " total=%(total)d pass=%(pass)s"),
+    "characters": Report(
+        _character_report, ("family", "n", "k"),
+        "characters family=%(family)s n=%(n)d k=%(k)d pass=%(pass)s",
+        "points", ("point", "pass")),
+    "folding": Report(
+        lambda family, n, k: verify_folding_consistency(n, k).to_json_dict(),
+        ("n", "k"), "folding n=%(n)d k=%(k)d pass=%(pass)s",
+        "entries", ("d", "parity", "fixed", "expected", "pass"),
+        "  d=%(d)d %(parity)s fixed=%(fixed)d expected=%(expected)d MISMATCH"),
+}
+AUDIT_SELECTORS = tuple(kind for kind in REPORTS if kind != "verify")
+
+# Selectors that read --family: the families swept when it is left out
+# (None: it is required) and the usage error.  Others reject it.
+_FAMILY_RULES = {
+    "orbit-poly": (None, "orbit-poly needs --family"),
+    "equivariance": (None, "audit equivariance needs --family"),
+    "characters": (("A", "D"), "character audits cover families A and D"),
+}
+
+
 def _run_task(task: tuple) -> dict:
-    kind = task[0]
-    if kind == "verify":
-        _, selector, family, n, k, variant, step = task
-        instance = theorem_instance(selector, n, k, variant=variant,
-                                    generator_step=step, family=family)
-        report = verify(instance)
-        out = report.to_json_dict()
-        out["pass"] = report.csp_holds
-        return out
-    if kind == "basis-A":
-        return check_basis_A(task[1], task[2]).to_json_dict()
-    if kind == "basis-C":
-        return check_basis_C(task[1], task[2]).to_json_dict()
-    if kind == "conjecture-D":
-        return check_conjecture_D(task[1], task[2]).to_json_dict()
-    if kind == "equivariance":
-        return verify_equivariance(task[1], task[2], task[3]).to_json_dict()
-    if kind == "characters":
-        return _character_report(task[1], task[2], task[3])
-    if kind == "folding":
-        rep = verify_folding_consistency(task[1], task[2]).to_json_dict()
-        return rep
-    raise ValueError("unknown task %r" % (kind,))
+    return REPORTS[task[0]].run(*task[1:])
 
 
 def _run_all(tasks: list[tuple], workers: int) -> list[dict]:
@@ -169,57 +215,42 @@ def _run_all(tasks: list[tuple], workers: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_cell(value) -> str:
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
+class _Fields(dict):
+    """A report's values as csv cells and %-format fields: a dict as
+    sorted JSON, a list by its length.  `%(name=)s` formats as
+    ` name=value`, or as nothing when the value is empty."""
+
+    def __getitem__(self, key):
+        if key.endswith("="):
+            value = self[key[:-1]]
+            return " %s%s" % (key, value) if value else ""
+        value = super().__getitem__(key)
+        if isinstance(value, dict):
+            return json.dumps(value, sort_keys=True)
+        return len(value) if isinstance(value, list) else value
 
 
-def _csv_verify(reports: list[dict]) -> str:
+def _csv(report: Report, payload: dict) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["family", "n", "k", "variant", "group_order", "label",
-                "d", "fixed", "eval", "pass"])
-    for r in reports:
-        for c in r["checks"]:
-            w.writerow([r["family"], r["n"], r["k"], r["variant"] or "",
-                        r["group_order"], r["label"], c["d"], c["fixed"],
-                        _eval_cell(c["eval"]), c["pass"]])
+    w.writerow(report.columns + report.entry_columns)
+    for r in payload["reports"]:
+        cells = _Fields(r)
+        head = [cells[c] for c in report.columns]
+        for e in r[report.entries] if report.entries else [{}]:
+            cells = _Fields(e)
+            w.writerow(head + [cells[c] for c in report.entry_columns])
     return buf.getvalue()
 
 
-def _csv_audit(selector: str, reports: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    if selector == "folding":
-        w.writerow(["n", "k", "d", "parity", "fixed", "expected", "pass"])
-        for r in reports:
-            for e in r["entries"]:
-                w.writerow([r["n"], r["k"], e["d"], e["parity"], e["fixed"],
-                            e["expected"], e["pass"]])
-    elif selector == "characters":
-        w.writerow(["family", "n", "k", "point", "pass"])
-        for r in reports:
-            for p in r["points"]:
-                w.writerow([r["family"], r["n"], r["k"], p["point"], p["pass"]])
-    elif selector == "equivariance":
-        w.writerow(["family", "n", "k", "mode", "total", "failures", "pass"])
-        for r in reports:
-            w.writerow([r["family"], r["n"], r["k"], r["mode"], r["total"],
-                        len(r["failures"]), r["pass"]])
-    elif selector == "conjecture-D":
-        w.writerow(["n", "k", "count", "rank", "expected_dim", "lemma_count",
-                    "independent_mod_J", "spans", "pass"])
-        for r in reports:
-            w.writerow([r["n"], r["k"], r["count"], r["rank"],
-                        r["expected_dim"], r["lemma_count"],
-                        r["independent_mod_J"], r["spans"], r["pass"]])
-    else:
-        w.writerow(["family", "n", "k", "count", "rank", "expected_dim", "pass"])
-        for r in reports:
-            w.writerow([r["family"], r["n"], r["k"], r["count"], r["rank"],
-                        r["expected_dim"], r["pass"]])
-    return buf.getvalue()
+def _text(report: Report, payload: dict) -> str:
+    lines = []
+    for r in payload["reports"]:
+        lines.append(report.line % _Fields(r))
+        if report.mismatch:
+            lines.extend(report.mismatch % _Fields(e)
+                         for e in r[report.entries] if not e["pass"])
+    return "\n".join(lines) + "\n"
 
 
 def _csv_enumerate(payload: dict) -> str:
@@ -232,50 +263,6 @@ def _csv_enumerate(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _text_verify(reports: list[dict]) -> str:
-    lines = []
-    for r in reports:
-        head = "%s family=%s n=%d k=%d" % (r["label"], r["family"], r["n"], r["k"])
-        if r["variant"]:
-            head += " variant=%s" % r["variant"]
-        lines.append("%s group_order=%d csp_holds=%s"
-                     % (head, r["group_order"], r["csp_holds"]))
-        for c in r["checks"]:
-            if not c["pass"]:
-                lines.append("  d=%d fixed=%d eval=%s MISMATCH"
-                             % (c["d"], c["fixed"], _eval_cell(c["eval"])))
-    return "\n".join(lines) + "\n"
-
-
-def _text_audit(selector: str, reports: list[dict]) -> str:
-    lines = []
-    for r in reports:
-        if selector == "folding":
-            lines.append("folding n=%d k=%d pass=%s" % (r["n"], r["k"], r["pass"]))
-            for e in r["entries"]:
-                if not e["pass"]:
-                    lines.append("  d=%d %s fixed=%d expected=%d MISMATCH"
-                                 % (e["d"], e["parity"], e["fixed"], e["expected"]))
-        elif selector == "characters":
-            lines.append("characters family=%s n=%d k=%d pass=%s"
-                         % (r["family"], r["n"], r["k"], r["pass"]))
-        elif selector == "equivariance":
-            lines.append("equivariance family=%s n=%d k=%d mode=%s total=%d pass=%s"
-                         % (r["family"], r["n"], r["k"], r["mode"], r["total"],
-                            r["pass"]))
-        elif selector == "conjecture-D":
-            lines.append("conjecture-D n=%d k=%d count=%d rank=%d expected=%d "
-                         "independent=%s spans=%s pass=%s  (%s)"
-                         % (r["n"], r["k"], r["count"], r["rank"],
-                            r["expected_dim"], r["independent_mod_J"],
-                            r["spans"], r["pass"], r["note"]))
-        else:
-            lines.append("%s family=%s n=%d k=%d count=%d rank=%d expected=%d pass=%s"
-                         % (selector, r["family"], r["n"], r["k"], r["count"],
-                            r["rank"], r["expected_dim"], r["pass"]))
-    return "\n".join(lines) + "\n"
-
-
 def _text_enumerate(payload: dict) -> str:
     lines = ["%s n=%d k=%d count=%d%s"
              % (payload["family"], payload["n"], payload["k"], payload["count"],
@@ -285,25 +272,21 @@ def _text_enumerate(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _render(config: RunConfig, payload, reports) -> str:
+def _emit(config: RunConfig, payload: dict, to_csv, to_text):
+    """Write `payload` to --out or stdout: as JSON, or through `to_csv` or
+    `to_text`."""
     if config.fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.command == "enumerate":
-        return _csv_enumerate(payload) if config.fmt == "csv" \
-            else _text_enumerate(payload)
-    if config.command == "verify":
-        return _csv_verify(reports) if config.fmt == "csv" \
-            else _text_verify(reports)
-    return _csv_audit(config.audit, reports) if config.fmt == "csv" \
-        else _text_audit(config.audit, reports)
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        text = (to_csv if config.fmt == "csv" else to_text)(payload)
+    if not config.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(config.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (config.out, exc.strerror))
 
 
 # ---------------------------------------------------------------------------
@@ -328,62 +311,45 @@ def cmd_enumerate(config: RunConfig) -> int:
         "truncated": len(shown) < len(mds),
         "items": [m.to_json_dict() for m in shown],
     }
-    _emit(_render(config, payload, None), config.out)
+    _emit(config, payload, _csv_enumerate, _text_enumerate)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.theorem is None:
-        raise UsageError("verify needs --theorem")
-    if config.theorem == "orbit-poly" and config.family is None:
-        raise UsageError("orbit-poly needs --family")
-    if config.theorem != "orbit-poly" and config.family is not None:
-        raise UsageError("--family applies to orbit-poly only")
-    tasks = [("verify", config.theorem, config.family, n, k, config.variant,
-              config.generator_step)
-             for n in config.n_values for k in config.k_values]
+def _families(config: RunConfig, selector: str) -> tuple:
+    """The families a sweep of `selector` runs through, innermost."""
+    if selector not in _FAMILY_RULES:
+        if config.family is not None:
+            raise UsageError("--family applies to orbit-poly only"
+                             if config.theorem else
+                             "audit %s does not take --family" % selector)
+        return (None,)
+    default, error = _FAMILY_RULES[selector]
+    if config.family is None:
+        if default is None:
+            raise UsageError(error)
+        return default
+    if default is not None and config.family not in default:
+        raise UsageError(error)
+    return (config.family,)
+
+
+def cmd_sweep(config: RunConfig) -> int:
+    """verify and audit: one report per (n, k, family); 1 if any fails."""
+    selector = config.theorem or config.audit
+    kind = "verify" if config.theorem else selector
+    extra = (selector, config.variant, config.generator_step) \
+        if config.theorem else ()
+    families = _families(config, selector)
+    tasks = [(kind, f, n, k) + extra for n in config.n_values
+             for k in config.k_values for f in families]
     reports = _run_all(tasks, config.workers)
-    all_pass = all(r["csp_holds"] for r in reports)
-    payload = {"command": "verify", "theorem": config.theorem,
-               "reports": reports, "all_pass": all_pass}
-    _emit(_render(config, payload, reports), config.out)
-    if all_pass or config.exploratory:
-        return 0
-    return 1
-
-
-_AUDIT_PASS_KEY = "pass"
-
-
-def cmd_audit(config: RunConfig) -> int:
-    selector = config.audit
-    family = config.family
-    if selector == "equivariance":
-        if family is None:
-            raise UsageError("audit equivariance needs --family")
-        tasks = [("equivariance", family, n, k)
-                 for n in config.n_values for k in config.k_values]
-    elif selector == "characters":
-        fams = [family] if family else ["A", "D"]
-        if any(f not in ("A", "D") for f in fams):
-            raise UsageError("character audits cover families A and D")
-        tasks = [("characters", f, n, k)
-                 for n in config.n_values for k in config.k_values for f in fams]
-    elif selector in ("basis-A", "basis-C", "conjecture-D", "folding"):
-        if family is not None:
-            raise UsageError("audit %s does not take --family" % selector)
-        tasks = [(selector, n, k)
-                 for n in config.n_values for k in config.k_values]
-    else:
-        raise UsageError("unknown audit selector %r" % selector)
-    reports = _run_all(tasks, config.workers)
-    all_pass = all(r[_AUDIT_PASS_KEY] for r in reports)
-    payload = {"command": "audit", "selector": selector,
-               "reports": reports, "all_pass": all_pass}
-    _emit(_render(config, payload, reports), config.out)
-    if all_pass or config.exploratory:
-        return 0
-    return 1
+    all_pass = all(r["pass"] for r in reports)
+    payload = {"command": config.command, "reports": reports,
+               "theorem" if config.theorem else "selector": selector,
+               "all_pass": all_pass}
+    _emit(config, payload, partial(_csv, REPORTS[kind]),
+          partial(_text, REPORTS[kind]))
+    return 0 if all_pass or config.exploratory else 1
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +432,8 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         if config.command == "enumerate":
             return cmd_enumerate(config)
-        if config.command == "verify":
-            return cmd_verify(config)
-        return cmd_audit(config)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return cmd_sweep(config)
+    except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import add, or_
+from operator import or_
 from typing import Iterable
 
 from .actions import resolve_step, rotate_multidissection
@@ -457,38 +457,6 @@ def z_D(f: Multidissection) -> XPoly:
     for e, m in f.items():
         out = out * _z_d_edge(f.n, e) ** m
     return out
-
-
-def row_degrees(p: XPoly) -> tuple[int, ...]:
-    """The per-row degree vector shared by every monomial (weight of the
-    diagonal torus action); raises when monomials disagree."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no weight")
-    common = None
-    for m in p._terms:
-        exps = m.to_bytes(2 * p.nrows, "big")
-        vec = tuple(map(add, exps[0::2], exps[1::2]))
-        if common is None:
-            common = vec
-        elif vec != common:
-            raise ValueError("monomials carry different row degrees")
-    return common
-
-
-def d_degree(p: XPoly, n: int) -> int:
-    """Total exponent on rows 1..n, common to all monomials."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no degree")
-    if p.nrows < n:
-        raise ValueError("ring has fewer than %d rows" % n)
-    common = None
-    for m in p._terms:
-        deg = sum(m.to_bytes(2 * p.nrows, "big")[:2 * n])
-        if common is None:
-            common = deg
-        elif deg != common:
-            raise ValueError("monomials carry different degrees on rows 1..%d" % n)
-    return common
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +944,7 @@ def check_conjecture_D(n: int, k: int) -> ConjectureReport:
     mds = enumerate_multidissections("D", n, k)
     basis_d = [z_D(f) for f in mds]
     max_deg = max(p.total_degree() for p in basis_d)
-    top = minor(n + 1, n + 2, n + 2)
+    top = j_generator(n)
     basis_j = []
     for g in lemma_basis_multidissections(n, k):
         base = z_A(g)

@@ -242,12 +242,15 @@ class Multidissection:
             if e not in table.index:
                 raise ValueError("edge %r is not valid for family %s, n=%d"
                                  % (e, family, n))
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ValueError("multiplicity %r on %r is not an integer"
+                                 % (m, e))
             if m < 0:
                 raise ValueError("negative multiplicity on %r" % (e,))
             if classical and m > 1:
                 raise ValueError("classical families use multiplicity 0/1")
             if m:
-                items.append((table.index[e], int(m)))
+                items.append((table.index[e], m))
         items.sort()
         later = sum(1 << i for i, _ in items)
         for i, _ in items:

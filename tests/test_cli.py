@@ -378,6 +378,17 @@ def test_worker_env_override(tmp_path, capsys, monkeypatch):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("target", ["", "missing/r.json"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
+    # a directory, or a file in a directory that does not exist
+    out = str(tmp_path / target)
+    code = main(["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1",
+                 "--out", out])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cannot write %s: " % out)
+
+
 def test_out_file_contains_json(tmp_path, capsys):
     f = tmp_path / "r.json"
     assert main(["enumerate", "--family", "C", "--n", "2", "--k", "1",

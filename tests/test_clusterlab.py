@@ -26,7 +26,6 @@ from sievelab.clusterlab import (
     check_basis_C,
     check_conjecture_D,
     cluster_monomial,
-    d_degree,
     dependency_witness,
     equivariance_discrepancy,
     expected_dim_D,
@@ -37,7 +36,6 @@ from sievelab.clusterlab import (
     minor,
     rank,
     rotation_substitution,
-    row_degrees,
     var_index,
     verify_equivariance,
     z_A,
@@ -244,6 +242,40 @@ def test_cluster_monomial_dispatch():
     assert cluster_monomial("D", fd) == z_D(fd)
     with pytest.raises(ValueError):
         cluster_monomial("A", fc)
+
+
+# Degree helpers for the homogeneity checks below; nothing outside the
+# tests needs them.
+def row_degrees(p: XPoly) -> tuple[int, ...]:
+    """The per-row degree vector shared by every monomial (weight of the
+    diagonal torus action); raises when monomials disagree."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no weight")
+    common = None
+    for m in p._terms:
+        exps = m.to_bytes(2 * p.nrows, "big")
+        vec = tuple(map(add, exps[0::2], exps[1::2]))
+        if common is None:
+            common = vec
+        elif vec != common:
+            raise ValueError("monomials carry different row degrees")
+    return common
+
+
+def d_degree(p: XPoly, n: int) -> int:
+    """Total exponent on rows 1..n, common to all monomials."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no degree")
+    if p.nrows < n:
+        raise ValueError("ring has fewer than %d rows" % n)
+    common = None
+    for m in p._terms:
+        deg = sum(m.to_bytes(2 * p.nrows, "big")[:2 * n])
+        if common is None:
+            common = deg
+        elif deg != common:
+            raise ValueError("monomials carry different degrees on rows 1..%d" % n)
+    return common
 
 
 def test_z_A_weight_vector():

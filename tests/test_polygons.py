@@ -277,6 +277,19 @@ def test_foreign_edge_rejected_at_zero_multiplicity():
         Multidissection("classicalA", 6, {AEdge(1, 2): 0})  # boundary edge
 
 
+@pytest.mark.parametrize("family,n,support", [
+    ("A", 4, {AEdge(1, 2): 1.5}),
+    ("classicalA", 5, {AEdge(1, 3): 0.5}),
+    ("A", 4, {AEdge(1, 2): 2.0}),
+    ("A", 4, {AEdge(1, 2): True}),
+    ("A", 4, {AEdge(1, 2): "1"}),
+])
+def test_non_integer_multiplicity_rejected(family, n, support):
+    # a multiplicity is a count: nothing is truncated or coerced to int
+    with pytest.raises(ValueError, match="is not an integer"):
+        Multidissection(family, n, support)
+
+
 def test_multidissection_weighted_count_and_key():
     md = Multidissection("D", 3, {DPairSeg(1, 3): 1, DDiameter(1, SOLID): 2})
     assert md.edge_count() == 4

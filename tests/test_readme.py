@@ -68,17 +68,16 @@ def cli_examples():
     section = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
     examples = []
     for block in re.findall(r"```\n(.*?)```", section, re.S):
-        for line in block.splitlines():
+        lines = iter(block.splitlines())
+        for line in lines:
             if line.startswith("$ sievelab "):
-                examples.append([line[len("$ sievelab "):], [], None])
+                examples.append({"command": line[len("$ sievelab "):],
+                                 "shown": [], "exit": None})
             elif line == "$ echo $?":
-                examples[-1].append("echo")
-            elif examples[-1][-1] == "echo":
-                examples[-1].pop()
-                examples[-1][2] = int(line)
+                examples[-1]["exit"] = int(next(lines))
             else:
-                examples[-1][1].append(line)
-    return [tuple(e) for e in examples]
+                examples[-1]["shown"].append(line)
+    return [(e["command"], e["shown"], e["exit"]) for e in examples]
 
 
 def shown_lines_match(shown, printed):
