@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -272,6 +273,24 @@ def _text_enumerate(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(path: str | None):
+    """Fail before any work is done where writing --out would fail: on a
+    directory, in a missing or unwritable directory, or on an unwritable
+    file.  Nothing is created or truncated."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError("cannot write %s: %s" % (path, os.strerror(code)))
+
+
 def _emit(config: RunConfig, payload: dict, to_csv, to_text):
     """Write `payload` to --out or stdout: as JSON, or through `to_csv` or
     `to_text`."""
@@ -300,6 +319,7 @@ def cmd_enumerate(config: RunConfig) -> int:
     if len(config.n_values) != 1 or len(config.k_values) != 1:
         raise UsageError("enumerate works on a single --n and --k")
     n, k = config.n_values[0], config.k_values[0]
+    _check_out(config.out)
     mds = enumerate_multidissections(config.family, n, k)
     shown = mds if config.limit is None else mds[:config.limit]
     payload = {
@@ -342,6 +362,7 @@ def cmd_sweep(config: RunConfig) -> int:
     families = _families(config, selector)
     tasks = [(kind, f, n, k) + extra for n in config.n_values
              for k in config.k_values for f in families]
+    _check_out(config.out)
     reports = _run_all(tasks, config.workers)
     all_pass = all(r["pass"] for r in reports)
     payload = {"command": config.command, "reports": reports,

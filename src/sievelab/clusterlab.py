@@ -10,7 +10,7 @@ back the basis theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -21,7 +21,7 @@ from .actions import resolve_step, rotate_multidissection
 from .polygons import (
     SOLID, CDiameter, CIntegrated, CSegregated,
     DDiameter, DPairInt, DPairSeg,
-    Multidissection, edge_table,
+    Multidissection, _base_bc, edge_table,
     enumerate_multidissections, iter_weighted_assignments,
 )
 from .qseries import ONE as Q_ONE, ZERO as Q_ZERO
@@ -655,72 +655,35 @@ def dependency_witness(polys: list[XPoly]) -> list[tuple[int, GaussRat]] | None:
 # ---------------------------------------------------------------------------
 
 
-def _signed_permutation(nrows: int, images: tuple) -> tuple | None:
-    """For images c_i * x_{s(i)} with s a permutation of the variables:
-    the source variable of each target variable, and the (i, c_i) pairs
-    with c_i != 1.  None for any other images."""
-    width = 2 * nrows
-    source = [None] * width
-    scalars = []
-    for i, image in enumerate(images):
-        if image.nrows != nrows or len(image._terms) != 1:
-            return None
-        (m, pair), = image._terms.items()
-        shift = m.bit_length() - 1
-        if shift < 0 or shift % 8 or m != 1 << shift:
-            return None
-        j = width - 1 - shift // 8
-        if source[j] is not None:
-            return None
-        source[j] = i
-        if pair != (1, 0):
-            scalars.append((i, pair))
-    return tuple(source), tuple(scalars)
-
-
-@dataclass(frozen=True)
 class VarSubstitution:
-    """Linear images, one XPoly per variable of the ambient ring.
+    """A signed permutation of the variables of the ambient ring: variable
+    i goes to c_i times variable target[i].
 
-    When the images are scalar multiples of the variables in some order,
-    as for every rotation, apply() moves each exponent to its image's
-    field and multiplies in the scalars; otherwise it expands products of
-    the images."""
+    apply() moves each exponent to its target's field and multiplies in
+    the scalars; a permutation of the fields maps distinct monomials to
+    distinct monomials and keeps every exponent, so nothing merges or
+    overflows."""
 
-    nrows: int
-    images: tuple[XPoly, ...]
-    _permutation: tuple | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("nrows", "_source", "_scalars")
 
-    def __post_init__(self):
-        if len(self.images) != 2 * self.nrows:
-            raise ValueError("need an image for every variable")
-        object.__setattr__(self, "_permutation",
-                           _signed_permutation(self.nrows, self.images))
-
-    @classmethod
-    def from_map(cls, nrows: int, mapping: dict) -> "VarSubstitution":
-        images = [XPoly.variable(nrows, i // 2 + 1, i % 2 + 1)
-                  for i in range(2 * nrows)]
-        for (row, col), image in mapping.items():
-            images[var_index(row, col, nrows)] = image
-        return cls(nrows, tuple(images))
+    def __init__(self, nrows: int, target, scalars=()):
+        """target[i] is the index of variable i's image, and scalars lists
+        (i, (re, im)) for every c_i other than 1."""
+        width = 2 * nrows
+        if sorted(target) != list(range(width)):
+            raise ValueError("need a permutation of the %d variables" % width)
+        source = [0] * width
+        for i, j in enumerate(target):
+            source[j] = i
+        self.nrows = nrows
+        self._source = tuple(source)
+        self._scalars = tuple(scalars)
 
     def apply(self, p: XPoly) -> XPoly:
         if p.nrows != self.nrows:
             raise ValueError("substitution ring mismatch")
         width = 2 * self.nrows
-        if self._permutation is None:
-            out = XPoly.zero(self.nrows)
-            for m, pair in p._terms.items():
-                term = XPoly._make(self.nrows, {0: pair})
-                for i, e in enumerate(m.to_bytes(width, "big")):
-                    if e:
-                        term = term * self.images[i] ** e
-                out = out + term
-            return out
-        # a permutation of the fields maps distinct monomials to distinct
-        # monomials and keeps every exponent, so nothing merges or overflows
-        source, scalars = self._permutation
+        source, scalars = self._source, self._scalars
         terms = {}
         for m, (re, im) in p._terms.items():
             exps = m.to_bytes(width, "big")
@@ -738,46 +701,29 @@ class VarSubstitution:
         return out
 
 
+# The scalars row n picks up on its two columns as it wraps to row 1.
+_WRAP_SCALARS = {"A": ((-1, 0), (-1, 0)), "C": ((0, -1), (0, 1)),
+                 "D": ((1, 0), (1, 0))}
+
+
 @lru_cache(maxsize=1)
 def rotation_substitution(family: str, n: int) -> VarSubstitution:
     """The substitution realizing one rotation step on cluster monomials.
 
-    Family A cycles rows with a sign on the wraparound; family C replaces
-    the sign by opposite quarter-turn scalars on the two columns; family D
-    cycles the first n rows without sign and swaps the two color rows.
-    The last result is kept, so an equivariance sweep builds it once.
+    Rows 1..n-1 move down one row and row n wraps to row 1, its columns
+    scaled by -1 and -1 in family A, by -i and +i in family C and by
+    nothing in family D; family D also swaps its two color rows n+1 and
+    n+2.  The last result is kept, so an equivariance sweep builds it
+    once.
     """
-    x = XPoly.variable
-    if family in ("A", "classicalA"):
-        mapping = {}
-        for i in range(1, n):
-            mapping[(i, 1)] = x(n, i + 1, 1)
-            mapping[(i, 2)] = x(n, i + 1, 2)
-        mapping[(n, 1)] = -x(n, 1, 1)
-        mapping[(n, 2)] = -x(n, 1, 2)
-        return VarSubstitution.from_map(n, mapping)
-    if family in ("C", "classicalBC"):
-        mapping = {}
-        for a in range(1, n):
-            mapping[(a, 1)] = x(n, a + 1, 1)
-            mapping[(a, 2)] = x(n, a + 1, 2)
-        mapping[(n, 1)] = x(n, 1, 1).scale(-GR_I)
-        mapping[(n, 2)] = x(n, 1, 2).scale(GR_I)
-        return VarSubstitution.from_map(n, mapping)
-    if family in ("D", "classicalD"):
-        N = n + 2
-        mapping = {}
-        for i in range(1, n):
-            mapping[(i, 1)] = x(N, i + 1, 1)
-            mapping[(i, 2)] = x(N, i + 1, 2)
-        mapping[(n, 1)] = x(N, 1, 1)
-        mapping[(n, 2)] = x(N, 1, 2)
-        mapping[(n + 1, 1)] = x(N, n + 2, 1)
-        mapping[(n + 1, 2)] = x(N, n + 2, 2)
-        mapping[(n + 2, 1)] = x(N, n + 1, 1)
-        mapping[(n + 2, 2)] = x(N, n + 1, 2)
-        return VarSubstitution.from_map(N, mapping)
-    raise ValueError("unknown family %r" % family)
+    base = _base_bc(family)  # ValueError for an unknown family
+    rows = list(range(2, n + 1)) + [1]  # the image of each row, in order
+    if base == "D":
+        rows += [n + 2, n + 1]
+    target = [2 * (row - 1) + col for row in rows for col in (0, 1)]
+    scalars = [(2 * (n - 1) + col, pair)
+               for col, pair in enumerate(_WRAP_SCALARS[base]) if pair != (1, 0)]
+    return VarSubstitution(len(rows), target, scalars)
 
 
 def cluster_monomial(family: str, f: Multidissection) -> XPoly:

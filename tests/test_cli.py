@@ -378,15 +378,53 @@ def test_worker_env_override(tmp_path, capsys, monkeypatch):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-@pytest.mark.parametrize("target", ["", "missing/r.json"])
-def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
-    # a directory, or a file in a directory that does not exist
+def _must_not_run(*args):
+    raise AssertionError("ran before --out was checked")
+
+
+@pytest.mark.parametrize("target", ["", "missing/r.json", "plain/r.json"])
+def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys, target):
+    # a directory, a file in a directory that does not exist, or a file
+    # under a plain file; the path is checked before any work runs, with
+    # the reason that writing it gives
+    (tmp_path / "plain").write_text("")
+    monkeypatch.setattr(cli, "_run_all", _must_not_run)
+    monkeypatch.setattr(cli, "enumerate_multidissections", _must_not_run)
     out = str(tmp_path / target)
-    code = main(["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1",
-                 "--out", out])
+    with pytest.raises(OSError) as write_error:
+        open(out, "w")
+    for argv in (["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1"],
+                 ["enumerate", "--family", "C", "--n", "2", "--k", "1"]):
+        code = main(argv + ["--out", out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: cannot write %s: %s\n" % (
+            out, write_error.value.strerror)
+
+
+def test_out_write_error_is_usage_error(monkeypatch, tmp_path, capsys):
+    # a path that passes the early check but fails when written
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    code = main(["enumerate", "--family", "C", "--n", "2", "--k", "1",
+                 "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: cannot write %s: " % out)
+    assert captured.err == "error: cannot write %s: Is a directory\n" % tmp_path
+
+
+def test_out_check_neither_creates_nor_truncates(monkeypatch, tmp_path):
+    def work(*args):
+        raise RuntimeError("the work fails")
+
+    monkeypatch.setattr(cli, "_run_all", work)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("kept")
+    for out in (old, new):
+        with pytest.raises(RuntimeError):
+            main(["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1",
+                  "--out", str(out)])
+    assert old.read_text() == "kept"
+    assert not new.exists()
 
 
 def test_out_file_contains_json(tmp_path, capsys):

@@ -45,6 +45,7 @@ from sievelab.clusterlab import (
 from sievelab.clusterlab import _PRIME, _SQRT_M1, _rank_mod_p
 from sievelab.polygons import (
     DOTTED,
+    FAMILIES,
     SOLID,
     AEdge,
     CDiameter,
@@ -488,26 +489,47 @@ def test_packed_arithmetic_matches_reference(pq, k):
     assert repr(p * q) == repr(XPoly(p.nrows, reference_mul(p.terms, q.terms)))
 
 
-def substitution_cases():
-    families = st.sampled_from(["A", "C", "D", "classicalA",
-                                "classicalBC", "classicalD"])
-    rotations = st.tuples(families, st.integers(1, 3)).map(
-        lambda fn: rotation_substitution(*fn))
-    # images that are no signed permutation take the expanding path
-    linear = st.integers(1, 2).flatmap(lambda r: st.lists(
-        xpolys(r, max_exp=1), min_size=2 * r, max_size=2 * r).map(
-            lambda images: VarSubstitution(r, tuple(images))))
-    return (rotations | linear).flatmap(
-        lambda sub: st.tuples(st.just(sub), xpolys(sub.nrows, max_exp=2)))
+def reference_rotation_images(family, n):
+    """The image of every variable under one rotation step, written out
+    family by family; an oracle independent of the one rule that
+    rotation_substitution builds from."""
+    x = XPoly.variable
+    N = n + 2 if family in ("D", "classicalD") else n
+    images = {}
+    for i in range(1, n):
+        images[(i, 1)] = x(N, i + 1, 1)
+        images[(i, 2)] = x(N, i + 1, 2)
+    if family in ("A", "classicalA"):
+        images[(n, 1)] = -x(N, 1, 1)
+        images[(n, 2)] = -x(N, 1, 2)
+    elif family in ("C", "classicalBC"):
+        images[(n, 1)] = x(N, 1, 1).scale(-GR_I)
+        images[(n, 2)] = x(N, 1, 2).scale(GR_I)
+    else:
+        images[(n, 1)] = x(N, 1, 1)
+        images[(n, 2)] = x(N, 1, 2)
+        images[(n + 1, 1)] = x(N, n + 2, 1)
+        images[(n + 1, 2)] = x(N, n + 2, 2)
+        images[(n + 2, 1)] = x(N, n + 1, 1)
+        images[(n + 2, 2)] = x(N, n + 1, 2)
+    return [images[(i // 2 + 1, i % 2 + 1)] for i in range(2 * N)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(substitution_cases())
-def test_substitution_matches_reference(case):
-    sub, p = case
-    images = [image.terms for image in sub.images]
-    assert sub.apply(p).terms == reference_apply(images, p.terms,
-                                                 2 * sub.nrows)
+# each example draws a polynomial for all 24 (family, n) cases
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_substitution_matches_reference(data):
+    for family in FAMILIES:
+        for n in range(1, 5):
+            sub = rotation_substitution(family, n)
+            images = reference_rotation_images(family, n)
+            assert sub.nrows == len(images) // 2
+            for i, image in enumerate(images):
+                variable = XPoly.variable(sub.nrows, i // 2 + 1, i % 2 + 1)
+                assert sub.apply(variable) == image
+            p = data.draw(xpolys(sub.nrows, max_exp=2))
+            assert sub.apply(p).terms == reference_apply(
+                [image.terms for image in images], p.terms, 2 * sub.nrows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -897,6 +919,12 @@ def test_rotation_substitution_A():
     # applying n times scales a degree-d monomial by (-1)^d
     p = minor(1, 3, 4)
     assert sub.apply_times(p, 4) == p
+    with pytest.raises(ValueError):
+        sub.apply(XPoly.variable(3, 1, 1))
+    with pytest.raises(ValueError):
+        rotation_substitution("B", 4)
+    with pytest.raises(ValueError):
+        VarSubstitution(1, (0, 0))
 
 
 def test_rotation_substitution_C():
@@ -917,17 +945,11 @@ def test_rotation_substitution_D():
     assert sub.apply(XPoly.variable(4, 4, 2)) == XPoly.variable(4, 3, 2)
 
 
-def test_substitution_from_map_defaults_to_identity():
-    sub = VarSubstitution.from_map(2, {(1, 1): XPoly.variable(2, 2, 2)})
-    assert sub.apply(XPoly.variable(2, 1, 1)) == XPoly.variable(2, 2, 2)
-    assert sub.apply(XPoly.variable(2, 1, 2)) == XPoly.variable(2, 1, 2)
-    with pytest.raises(ValueError):
-        sub.apply(XPoly.variable(3, 1, 1))
-
-
 @pytest.mark.parametrize("family,n,k", [
     ("A", 4, 1), ("A", 4, 2), ("A", 5, 2),
     ("C", 2, 1), ("C", 2, 2), ("C", 3, 2),
+    ("classicalA", 4, 1), ("classicalA", 4, 2),
+    ("classicalA", 5, 1), ("classicalA", 5, 2),
 ])
 def test_equivariance_exact(family, n, k):
     rep = verify_equivariance(family, n, k)
@@ -945,9 +967,12 @@ def test_equivariance_classicalBC(n, k):
     assert rep.passed and rep.failures == ()
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_equivariance_D_mod_J(n, k):
-    rep = verify_equivariance("D", n, k)
+@pytest.mark.parametrize("family,n,k", [
+    pytest.param("D", n, k, id="%d-%d" % (n, k))
+    for n, k in [(2, 1), (2, 2), (3, 1), (3, 2)]
+] + [("classicalD", n, k) for n in (4, 5) for k in (1, 2)])
+def test_equivariance_D_mod_J(family, n, k):
+    rep = verify_equivariance(family, n, k)
     assert rep.passed and rep.mode == "mod_J"
 
 
