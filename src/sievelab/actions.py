@@ -27,7 +27,7 @@ from .polygons import (
     CDiameter, CSegregated, CIntegrated,
     DDiameter, DPairSeg, DPairInt,
     Multidissection, edge_chords, edge_table, edge_universe,
-    enumerate_multidissections,
+    enumerate_multidissections, is_classical, weighted_assignment_sum,
 )
 
 
@@ -153,6 +153,58 @@ def fixed_counts(sizes, order: int) -> list[int]:
         for d in range(0, order + 1, size):
             counts[d] += members
     return counts
+
+
+def _fixed_count(family: str, n: int, k: int, perm: tuple) -> int:
+    """The k-edge multidissections that the edge permutation `perm` fixes,
+    counted over unions of its orbits without listing them.
+
+    perm fixes an object exactly when the multiplicity is constant on
+    each of its orbits, so a fixed object is a noncrossing, weighted
+    choice of whole orbits: an orbit weighs the sum of its edges'
+    weights, two orbits conflict when any of their edges cross, and an
+    orbit that crosses itself can never be chosen."""
+    table = edge_table(family, n)
+    orbit_of = [-1] * len(perm)
+    orbits = []
+    for start in range(len(perm)):
+        orbit, i = [], start
+        while orbit_of[i] < 0:
+            orbit_of[i] = len(orbits)
+            orbit.append(i)
+            i = perm[i]
+        if orbit:
+            orbits.append(orbit)
+    weights, crosses = [], []
+    for orbit in orbits:
+        edge_mask = 0
+        for e in orbit:
+            edge_mask |= table.crosses[e]
+        mask = 0
+        for e in range(len(perm)):
+            if edge_mask >> e & 1:
+                mask |= 1 << orbit_of[e]
+        crosses.append(mask)
+        self_crossing = mask >> orbit_of[orbit[0]] & 1
+        weights.append(0 if self_crossing
+                       else sum(table.weights[e] for e in orbit))
+    return weighted_assignment_sum(weights, k, crosses, [1] * len(orbits),
+                                   1 if is_classical(family) else None)
+
+
+def fixed_count_vector(family: str, n: int, k: int,
+                       generator_step: int | None = None) -> list[int]:
+    """The vector `fixed_counts(orbit_sizes(...), order)` for the
+    generator's exact order, counted orbit union by orbit union instead of
+    object by object.  Entry d depends only on gcd(d, order), so one
+    count per divisor of the order fills it."""
+    if k < 0:
+        raise ValueError("edge count must be >= 0")
+    order = action_order(family, n, generator_step)
+    by_divisor = {d: _fixed_count(family, n, k,
+                                  _permutation(family, n, d, generator_step))
+                  for d in range(1, order + 1) if order % d == 0}
+    return [by_divisor[gcd(d, order)] for d in range(order + 1)]
 
 
 def count_fixed(family: str, n: int, k: int, d: int,

@@ -18,7 +18,6 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import Pool
 from typing import Callable, NamedTuple
 
 from .clusterlab import (
@@ -207,6 +206,8 @@ def _run_task(task: tuple) -> dict:
 def _run_all(tasks: list[tuple], workers: int) -> list[dict]:
     if workers == 1 or len(tasks) <= 1:
         return [_run_task(t) for t in tasks]
+    # imported here: a run that starts no pool never loads multiprocessing
+    from multiprocessing import Pool
     with Pool(processes=min(workers, len(tasks))) as pool:
         return pool.map(_run_task, tasks, chunksize=1)
 

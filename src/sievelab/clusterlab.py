@@ -23,16 +23,21 @@ from .polygons import (
     DDiameter, DPairInt, DPairSeg,
     Multidissection, _base_bc, edge_table,
     enumerate_multidissections, iter_weighted_assignments,
+    weighted_assignment_sum,
 )
-from .qseries import ONE as Q_ONE, ZERO as Q_ZERO
+from .qseries import IntLaurentPoly, ZERO as Q_ZERO
 from .symfunc import as_point, homog_eval, ones_point, schur_eval
 
 
 def _exact(x):
-    """x as an exact rational: a plain int when integral, else a Fraction."""
+    """x as an exact rational: a plain int when integral, else a Fraction.
+    Anything but an int or a Fraction, a float or a bool included, is a
+    TypeError rather than a silently rounded value."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError("expected an int or a Fraction, got %r" % (x,))
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -55,7 +60,7 @@ class GaussRat:
     def _coerce(v):
         if isinstance(v, GaussRat):
             return v
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
             return GaussRat(v)
         return NotImplemented
 
@@ -392,17 +397,6 @@ def _quadratic(nrows: int, terms) -> XPoly:
         for r1, c1, r2, c2, c in terms})
 
 
-def z_A(f: Multidissection) -> XPoly:
-    """Product of minors, one per edge with multiplicity."""
-    if f.family not in ("A", "classicalA"):
-        raise ValueError("expected a type A multidissection")
-    n = f.n
-    out = XPoly.const(n, 1)
-    for e, m in f.items():
-        out = out * minor(e.i, e.j, n) ** m
-    return out
-
-
 def _z_c_edge(n: int, e) -> XPoly:
     """The edge's factor without its scalar; every coefficient is an
     integer."""
@@ -412,26 +406,6 @@ def _z_c_edge(n: int, e) -> XPoly:
         sign = 1 if isinstance(e, CIntegrated) else -1
         return _quadratic(n, ((e.a, 1, e.b, 2, 1), (e.a, 2, e.b, 1, sign)))
     raise TypeError("not a type C edge: %r" % (e,))
-
-
-def z_C(f: Multidissection) -> XPoly:
-    """Product of the edge factors: a diameter's is x_{a1} x_{a2}, a
-    chord pair's is (x_{a1} x_{b2} +- x_{a2} x_{b1}) times 1/2 for an
-    integrated pair and 1/(2i) for a segregated one.  The scalars are
-    multiplied in once, after the integer product, as
-    (-i)^(segregated pairs) / 2^(chord pairs)."""
-    if f.family not in ("C", "classicalBC"):
-        raise ValueError("expected a type C multidissection")
-    out = XPoly.const(f.n, 1)
-    pairs = segregated = 0
-    for e, m in f.items():
-        out = out * _z_c_edge(f.n, e) ** m
-        if not isinstance(e, CDiameter):
-            pairs += m
-            segregated += m if isinstance(e, CSegregated) else 0
-    re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[segregated % 4]
-    return out.scale(GaussRat(Fraction(re, 1 << pairs),
-                              Fraction(im, 1 << pairs)))
 
 
 def _z_d_edge(n: int, e) -> XPoly:
@@ -448,15 +422,73 @@ def _z_d_edge(n: int, e) -> XPoly:
     raise TypeError("not a type D edge: %r" % (e,))
 
 
+@lru_cache(maxsize=256)
+def _factor_power(family: str, n: int, idx: int, m: int) -> XPoly:
+    """The m-th power of the factor of edge `idx` of the family's table: a
+    minor in type A, the scalar-free factor in type C, the (n+2)-row
+    factor in type D."""
+    e = edge_table(family, n).edges[idx]
+    base = _base_bc(family)
+    if base == "A":
+        factor = minor(e.i, e.j, n)
+    elif base == "C":
+        factor = _z_c_edge(n, e)
+    else:
+        factor = _z_d_edge(n, e)
+    return factor ** m
+
+
+def _product(family: str, n: int, items: tuple) -> XPoly:
+    """The product of the factor powers over nonempty (edge index,
+    multiplicity) pairs: the product over all but the last pair, from
+    `_prefix_product`, times the last one."""
+    power = _factor_power(family, n, *items[-1])
+    if len(items) == 1:
+        return power
+    return _prefix_product(family, n, items[:-1]) * power
+
+
+# Objects in enumeration order share their prefixes, so a prefix's product
+# is built once from its own prefix and kept while the search is below it.
+_prefix_product = lru_cache(maxsize=64)(_product)
+
+
+def _monomial_product(f: Multidissection, nrows: int) -> XPoly:
+    items = f.index_items()
+    return _product(f.family, f.n, items) if items else XPoly.const(nrows, 1)
+
+
+def z_A(f: Multidissection) -> XPoly:
+    """Product of minors, one per edge with multiplicity."""
+    if f.family not in ("A", "classicalA"):
+        raise ValueError("expected a type A multidissection")
+    return _monomial_product(f, f.n)
+
+
+def z_C(f: Multidissection) -> XPoly:
+    """Product of the edge factors: a diameter's is x_{a1} x_{a2}, a
+    chord pair's is (x_{a1} x_{b2} +- x_{a2} x_{b1}) times 1/2 for an
+    integrated pair and 1/(2i) for a segregated one.  The scalars are
+    multiplied in once, after the integer product, as
+    (-i)^(segregated pairs) / 2^(chord pairs)."""
+    if f.family not in ("C", "classicalBC"):
+        raise ValueError("expected a type C multidissection")
+    pairs = segregated = 0
+    for e, m in f.items():
+        if not isinstance(e, CDiameter):
+            pairs += m
+            segregated += m if isinstance(e, CSegregated) else 0
+    re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[segregated % 4]
+    return _monomial_product(f, f.n).scale(
+        GaussRat(Fraction(re, 1 << pairs), Fraction(im, 1 << pairs)))
+
+
 def z_D(f: Multidissection) -> XPoly:
     """Representative in the (n+2)-row ring of the class modulo the
     principal ideal generated by the last minor."""
     if f.family not in ("D", "classicalD"):
         raise ValueError("expected a type D multidissection")
-    out = XPoly.const(f.n + 2, 1)
-    for e, m in f.items():
-        out = out * _z_d_edge(f.n, e) ** m
-    return out
+    return _monomial_product(f, f.n + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -833,14 +865,18 @@ def check_basis_C(n: int, k: int) -> BasisReport:
 def lemma_basis_multidissections(n: int, k: int) -> tuple:
     """A-multidissections of the (n+2)-gon avoiding the edge (n+1, n+2)
     whose endpoint count inside 1..n, with multiplicity, is exactly k.
-    The last result is kept, so the conjecture audit and the character
-    probes at one (n, k) enumerate once."""
-    # an edge's weight is its d-degree, its number of endpoints in 1..n
+    The last result is kept, so the conjecture audit, which reads the
+    list twice, enumerates once."""
     table = edge_table("A", n + 2)
-    weights = [(e.i <= n) + (e.j <= n) for e in table.edges]
     return tuple(Multidissection._from_items("A", n + 2, items)
                  for items in iter_weighted_assignments(
-                     weights, k, table.crosses))
+                     _d_degrees(n), k, table.crosses))
+
+
+def _d_degrees(n: int) -> list[int]:
+    """The d-degree of every edge of the (n+2)-gon, in table order: its
+    number of endpoints in 1..n."""
+    return [(e.i <= n) + (e.j <= n) for e in edge_table("A", n + 2).edges]
 
 
 def expected_dim_D(n: int, k: int) -> int:
@@ -921,37 +957,52 @@ def check_conjecture_D(n: int, k: int) -> ConjectureReport:
 # ---------------------------------------------------------------------------
 
 
+def character_sum_A(n: int, k: int, y) -> IntLaurentPoly:
+    """The weight sum over k-edge multidissections of the n-gon: the sum
+    of the products of (y_i y_j)^m over their edges (i, j) with
+    multiplicity m, taken by `weighted_assignment_sum` without listing
+    the objects."""
+    ys = as_point(y)
+    if len(ys) != n:
+        raise ValueError("expected %d values" % n)
+    if k < 0:
+        raise ValueError("edge count must be >= 0")
+    table = edge_table("A", n)
+    values = [ys[e.i - 1] * ys[e.j - 1] for e in table.edges]
+    return Q_ZERO + weighted_assignment_sum(table.weights, k, table.crosses,
+                                            values)
+
+
 def character_check_A(n: int, k: int, y) -> bool:
     """Weight sum over k-edge multidissections against the rectangle
     Schur value; the monomials form a weight basis, so the sum is the
     diagonal character."""
+    return character_sum_A(n, k, y) == schur_eval((k, k), as_point(y))
+
+
+def character_sum_D(n: int, k: int, y, z) -> IntLaurentPoly:
+    """The weight sum over the reference basis index set
+    `lemma_basis_multidissections(n, k)`: multidissections of the
+    (n+2)-gon weighted by d-degree, where vertex i <= n carries y_i and
+    vertices n+1, n+2 carry z_1, z_2."""
     ys = as_point(y)
-    if len(ys) != n:
-        raise ValueError("expected %d values" % n)
-    total = Q_ZERO
-    for f in enumerate_multidissections("A", n, k):
-        weight = Q_ONE
-        for e, m in f.items():
-            weight = weight * (ys[e.i - 1] * ys[e.j - 1]) ** m
-        total = total + weight
-    return total == schur_eval((k, k), ys)
+    zs = as_point(z)
+    if len(ys) != n or len(zs) != 2:
+        raise ValueError("expected %d + 2 values" % n)
+    if k < 0:
+        raise ValueError("edge count must be >= 0")
+    table = edge_table("A", n + 2)
+    point = ys + zs
+    values = [point[e.i - 1] * point[e.j - 1] for e in table.edges]
+    return Q_ZERO + weighted_assignment_sum(_d_degrees(n), k, table.crosses,
+                                            values)
 
 
 def character_check_D(n: int, k: int, y, z) -> bool:
     """Weight sum over the reference basis index set against the
     two-factor character sum."""
-    ys = as_point(y)
-    zs = as_point(z)
-    if len(ys) != n or len(zs) != 2:
-        raise ValueError("expected %d + 2 values" % n)
-    total = Q_ZERO
-    for g in lemma_basis_multidissections(n, k):
-        weight = Q_ONE
-        for e, m in g.items():
-            first = ys[e.i - 1] if e.i <= n else zs[e.i - n - 1]
-            second = ys[e.j - 1] if e.j <= n else zs[e.j - n - 1]
-            weight = weight * (first * second) ** m
-        total = total + weight
+    total = character_sum_D(n, k, y, z)
+    ys, zs = as_point(y), as_point(z)
     expected = Q_ZERO
     for ell in range(k // 2 + 1):
         expected = expected + schur_eval((k - ell, ell), ys) * \

@@ -17,6 +17,10 @@ All per-edge facts of one (family, n) live in its `EdgeTable`: the
 universe in canonical order, each edge's position, weights, crossing
 masks and the one-vertex-step rotation, all by edge position.
 `edge_table` builds it once and keeps the last few.
+
+`iter_weighted_assignments` lists the noncrossing supports of a given
+weight; `weighted_assignment_sum` sums a per-edge product over the same
+supports without listing them.
 """
 
 from __future__ import annotations
@@ -374,10 +378,61 @@ def iter_weighted_assignments(weights, target: int, crosses,
     yield from rec(0, target, 0)
 
 
+def weighted_assignment_sum(weights, target: int, crosses, values,
+                            max_mult: int | None = None):
+    """The sum, over the supports `iter_weighted_assignments` yields, of
+    the product of values[i] ** m over their (i, m) pairs, without listing
+    them.
+
+    The values may lie in any commutative ring whose elements add to and
+    multiply with the ints 0 and 1; the empty support contributes 1.  The
+    sum over the supports whose least edge is `start` or later depends on
+    (start, remaining, blocked >> start) alone, so each such state is
+    summed once; the memo is dropped when the call returns.  Recursion
+    goes one level per chosen edge, so its depth stays within `target`.
+    """
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be >= 0")
+    size = len(weights)
+    memo: dict[tuple, object] = {}
+
+    def rec(start: int, remaining: int, blocked: int):
+        if remaining == 0:
+            return 1
+        # the states of the edges that can still be taken, up to the
+        # first one already summed; each is its own first choice plus the
+        # state after it
+        chain = []
+        total = 0
+        for idx in range(start, size):
+            if not 0 < weights[idx] <= remaining or blocked >> idx & 1:
+                continue
+            key = (idx, remaining, blocked >> idx)
+            summed = memo.get(key)
+            if summed is not None:
+                total = summed
+                break
+            chain.append((idx, key))
+        for idx, key in reversed(chain):
+            w, value = weights[idx], values[idx]
+            top = remaining // w
+            if max_mult is not None:
+                top = min(top, max_mult)
+            below = blocked | crosses[idx]
+            power = 1
+            for m in range(1, top + 1):
+                power = power * value
+                total = total + power * rec(idx + 1, remaining - m * w, below)
+            memo[key] = total
+        return total
+
+    return rec(0, target, 0)
+
+
 @lru_cache(maxsize=1)
 def _enumerate_cached(family: str, n: int, k: int) -> tuple:
     """The last enumeration is kept, so `invariant_multidissections` right
-    after `orbit_sizes`, and the three character probes, enumerate once."""
+    after `orbit_sizes` enumerates once."""
     table = edge_table(family, n)
     max_mult = 1 if is_classical(family) else None
     return tuple(Multidissection._from_items(family, n, items)

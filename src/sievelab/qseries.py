@@ -24,10 +24,28 @@ class IntLaurentPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict[int, int] | int = 0):
-        if isinstance(terms, int):
+        """From an exponent -> coefficient map or a constant.  Exponents
+        and coefficients must be ints; a float or a bool is a TypeError,
+        never truncated or read as 0/1."""
+        if not hasattr(terms, "items"):
             terms = {0: terms}
-        self._terms = {int(e): int(c) for e, c in terms.items() if c}
+        clean = {}
+        for e, c in terms.items():
+            e = _exact_int(e, "exponent")
+            c = _exact_int(c, "coefficient")
+            if c:
+                clean[e] = c
+        self._terms = clean
         self._hash = None
+
+    @classmethod
+    def _make(cls, terms: dict[int, int]) -> "IntLaurentPoly":
+        """Wrap a map of int exponents to nonzero int coefficients,
+        unchecked; the arithmetic builds every result this way."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
 
     @staticmethod
     def monomial(exponent: int, coeff: int = 1) -> "IntLaurentPoly":
@@ -66,9 +84,8 @@ class IntLaurentPoly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = IntLaurentPoly(other)
-        if not isinstance(other, IntLaurentPoly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         return self._terms == other._terms
 
@@ -88,12 +105,12 @@ class IntLaurentPoly:
                 out[e] = v
             elif e in out:
                 del out[e]
-        return IntLaurentPoly(out)
+        return IntLaurentPoly._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntLaurentPoly({e: -c for e, c in self._terms.items()})
+        return IntLaurentPoly._make({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -120,14 +137,14 @@ class IntLaurentPoly:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        return IntLaurentPoly(out)
+        return IntLaurentPoly._make(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not supported")
-        result = IntLaurentPoly(1)
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -138,7 +155,7 @@ class IntLaurentPoly:
 
     def shift(self, s: int) -> "IntLaurentPoly":
         """Multiply by q**s."""
-        return IntLaurentPoly({e + s: c for e, c in self._terms.items()})
+        return IntLaurentPoly._make({e + s: c for e, c in self._terms.items()})
 
     def subst_power(self, s: int) -> "IntLaurentPoly":
         """Substitute q -> q**s.  s = 0 collapses to the value at q = 1."""
@@ -148,7 +165,7 @@ class IntLaurentPoly:
         for e, c in self._terms.items():
             ne = e * s
             out[ne] = out.get(ne, 0) + c
-        return IntLaurentPoly(out)
+        return IntLaurentPoly._make({e: c for e, c in out.items() if c})
 
     def fold_exponents(self, m: int) -> "IntLaurentPoly":
         """Reduce exponents mod m, i.e. the residue mod q**m - 1."""
@@ -158,7 +175,7 @@ class IntLaurentPoly:
         for e, c in self._terms.items():
             ne = e % m
             out[ne] = out.get(ne, 0) + c
-        return IntLaurentPoly(out)
+        return IntLaurentPoly._make({e: c for e, c in out.items() if c})
 
     def exact_div(self, other: "IntLaurentPoly") -> "IntLaurentPoly":
         """Exact polynomial division; a nonzero remainder is a hard error."""
@@ -166,7 +183,7 @@ class IntLaurentPoly:
         if other is None or not other:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
-            return IntLaurentPoly(0)
+            return ZERO
         sv, ov = self.valuation(), other.valuation()
         num = {e - sv: c for e, c in self._terms.items()}
         den = {e - ov: c for e, c in other._terms.items()}
@@ -194,7 +211,7 @@ class IntLaurentPoly:
                     del work[ne]
         if work:
             raise ArithmeticError("non-exact division: nonzero remainder")
-        return IntLaurentPoly({e + sv - ov: c for e, c in quot.items() if c})
+        return IntLaurentPoly._make({e + sv - ov: c for e, c in quot.items() if c})
 
     def evaluate(self, x):
         """Evaluate at a concrete number (int, Fraction or complex).
@@ -237,10 +254,21 @@ class IntLaurentPoly:
         return " ".join(parts)
 
 
+def _exact_int(x, what: str) -> int:
+    """x as a plain int; a bool, a float or anything else is a TypeError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("%s must be an int, got %r" % (what, x))
+    return int(x)
+
+
 def _coerce(value) -> IntLaurentPoly | None:
+    """An operand as a polynomial: itself, or an int (not a bool) as a
+    constant; None for anything else."""
     if isinstance(value, IntLaurentPoly):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return IntLaurentPoly(value)
     return None
 
@@ -254,7 +282,7 @@ def q_int(m: int) -> IntLaurentPoly:
     """[m]_q = 1 + q + ... + q^(m-1); [0]_q = 0."""
     if m < 0:
         raise ValueError("q_int needs m >= 0")
-    return IntLaurentPoly({i: 1 for i in range(m)})
+    return IntLaurentPoly._make({i: 1 for i in range(m)})
 
 
 def q_factorial(m: int) -> IntLaurentPoly:
@@ -365,7 +393,7 @@ def eval_at_unity_root(p: IntLaurentPoly, m: int, d: int) -> RootEvaluation:
     # negative Laurent exponents)
     folded = p.fold_exponents(m)
     substituted = folded.subst_power(d2)
-    residue = IntLaurentPoly(_mod_monic(substituted._terms, cyclotomic(m2)))
+    residue = IntLaurentPoly._make(_mod_monic(substituted._terms, cyclotomic(m2)))
     if residue.is_constant():
         return RootEvaluation.integer(residue.constant_value())
     return RootEvaluation.nonrational(residue, m2)

@@ -8,6 +8,7 @@ from sievelab.actions import (
     action_order,
     count_fixed,
     declared_group_order,
+    fixed_count_vector,
     fixed_counts,
     fold,
     fold_target_param,
@@ -292,6 +293,66 @@ def test_fixed_counts_match_filter(sizes, order):
     assert len(counts) == order + 1
     for d in range(order + 1):
         assert counts[d] == sum(d % s == 0 for s in sizes), d
+
+
+# --- fixed counts over orbit unions, without listing ------------------------
+
+def fixed_vector_cases():
+    """(family, n, step) for every family and both classicalBC steps, five
+    sizes each from the family's least."""
+    for family in FAMILIES:
+        low = max(min_n(family), 3 if family in ("A", "classicalA") else 1)
+        for step in ((1, 2) if family == "classicalBC" else (None,)):
+            for n in range(low, low + 5):
+                yield family, n, step
+
+
+FIXED_VECTOR_CASES = list(fixed_vector_cases())
+FIXED_VECTOR_KS = range(0, 5)
+
+
+def test_fixed_vector_case_count():
+    # the listing comparison below covers at least 150 (family, n, k, step)
+    assert len(FIXED_VECTOR_CASES) * len(FIXED_VECTOR_KS) >= 150
+
+
+@pytest.mark.parametrize("family,n,step", FIXED_VECTOR_CASES)
+def test_fixed_count_vector_matches_listing(family, n, step):
+    order = action_order(family, n, step)
+    for k in FIXED_VECTOR_KS:
+        assert fixed_count_vector(family, n, k, step) == \
+            fixed_counts(orbit_sizes(family, n, k, step), order), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(family_cases(4))), st.integers(0, 4), st.data())
+def test_fixed_count_vector_matches_reference_filter(case, k, data):
+    family, n, step = case
+    vector = fixed_count_vector(family, n, k, step)
+    assert len(vector) == action_order(family, n, step) + 1
+    d = data.draw(st.integers(0, len(vector) - 1))
+    assert vector[d] == reference_count_fixed(family, n, k, d,
+                                              resolve_step(family, step))
+
+
+def test_fixed_count_vector_rejects_negative_k():
+    with pytest.raises(ValueError):
+        fixed_count_vector("A", 5, -1)
+
+
+def test_verify_does_not_count_through_orbit_unions(monkeypatch):
+    # verify still lists the objects; the count is not wired in yet
+    import sievelab.actions as actions
+    import sievelab.cspverify as cspverify
+
+    def fail(*args):
+        raise AssertionError("verify called the orbit-union count")
+
+    for module in (actions, cspverify):
+        for name in ("fixed_count_vector", "_fixed_count"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    report = verify(theorem_instance("thm2.5", 5, 2))
+    assert report.csp_holds
 
 
 def test_invariant_multidissections_consistency():

@@ -185,6 +185,24 @@ def test_audit_characters(capsys):
     assert payload["all_pass"] is True
 
 
+def test_audit_characters_lists_no_objects(capsys, monkeypatch):
+    # the character sums are taken without listing a single object
+    import sievelab.clusterlab as clusterlab
+    import sievelab.polygons as polygons
+
+    def fail(*args):
+        raise AssertionError("the character audit listed objects")
+
+    for module in (cli, clusterlab, polygons):
+        for name in ("enumerate_multidissections",
+                     "lemma_basis_multidissections", "_enumerate_cached",
+                     "iter_weighted_assignments"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    code, out = run(capsys, ["audit", "characters", "--n", "6", "--k", "3"])
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
 def test_audit_characters_beyond_twelve_primes(capsys):
     # the primes probe needs n values, the first n primes
     code, out = run(capsys, ["audit", "characters", "--n", "13", "--k", "1"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab import clusterlab
+from sievelab.actions import rotate_multidissection
 from sievelab.clusterlab import (
     GR_HALF,
     GR_I,
@@ -22,6 +23,8 @@ from sievelab.clusterlab import (
     XPoly,
     character_check_A,
     character_check_D,
+    character_sum_A,
+    character_sum_D,
     check_basis_A,
     check_basis_C,
     check_conjecture_D,
@@ -58,7 +61,7 @@ from sievelab.polygons import (
     enumerate_multidissections,
 )
 from sievelab.qseries import IntLaurentPoly
-from sievelab.symfunc import ones_point, principal_point, schur_eval
+from sievelab.symfunc import as_point, ones_point, principal_point, schur_eval
 from sievelab.tableaux import enumerate_ssyt
 
 
@@ -141,6 +144,21 @@ def test_gaussrat_repr_is_unchanged():
 
 
 # --- polynomials ---------------------------------------------------------------
+
+def test_gaussrat_rejects_a_float():
+    with pytest.raises(TypeError):
+        GaussRat(0.1)
+
+
+def test_xpoly_rejects_a_float_coefficient():
+    with pytest.raises(TypeError):
+        XPoly(1, {(1, 0): 0.5})
+
+
+def test_character_check_rejects_a_float_value():
+    with pytest.raises(TypeError):
+        character_check_A(3, 1, [1, 2.5, 1])
+
 
 def test_var_index_layout():
     assert var_index(1, 1, 4) == 0
@@ -329,6 +347,61 @@ def test_z_C_matches_per_edge_scaled_product():
         assert repr(got) == repr(want)
         for mono in got.monomials():
             assert_exact(got.coefficient(mono))
+
+
+def reference_z(f):
+    """The cluster monomial as a product of per-edge factors multiplied in
+    edge by edge, each factor built from minors."""
+    if f.family in ("C", "classicalBC"):
+        return reference_z_C(f)
+    n = f.n
+    if f.family in ("A", "classicalA"):
+        out = XPoly.const(n, 1)
+        for e, m in f.items():
+            out = out * minor(e.i, e.j, n) ** m
+        return out
+    N = n + 2
+    out = XPoly.const(N, 1)
+    for e, m in f.items():
+        if isinstance(e, DDiameter):
+            factor = minor(e.a, N - 1 if e.color == SOLID else N, N)
+        else:
+            sign = 1 if isinstance(e, DPairSeg) else -1
+            factor = minor(e.a, N - 1, N) * minor(e.b, N, N) \
+                + minor(e.a, e.b, N).scale(sign)
+        out = out * factor ** m
+    return out
+
+
+MONOMIAL_CASES = [
+    ("A", 5, 3), ("A", 6, 2), ("classicalA", 6, 2), ("classicalA", 7, 3),
+    ("C", 3, 3), ("C", 4, 2), ("classicalBC", 4, 2), ("classicalBC", 4, 3),
+    ("D", 2, 3), ("D", 4, 2), ("classicalD", 4, 2), ("classicalD", 4, 3),
+]
+
+
+@pytest.mark.parametrize("family,n,k", MONOMIAL_CASES)
+def test_monomials_match_per_edge_product(family, n, k):
+    # every object in enumeration order, then every rotated object, which
+    # is out of that order
+    mds = enumerate_multidissections(family, n, k)
+    for f in mds + [rotate_multidissection(f) for f in mds]:
+        got = cluster_monomial(family, f)
+        assert got == reference_z(f), f
+        assert repr(got) == repr(reference_z(f))
+
+
+def test_monomials_match_per_edge_product_interleaved():
+    # families of one size share edge indices but not edges, so the
+    # cached prefixes must be told apart by family and size
+    lists = [(family, enumerate_multidissections(family, n, k))
+             for family, n, k in MONOMIAL_CASES]
+    clusterlab._prefix_product.cache_clear()
+    for i in range(max(len(mds) for _, mds in lists)):
+        for family, mds in lists:
+            f = mds[i % len(mds)]
+            for g in (f, rotate_multidissection(f, 2)):
+                assert cluster_monomial(family, g) == reference_z(g), g
 
 
 def test_z_D_matches_minor_product():
@@ -843,6 +916,26 @@ def test_basis_C_frozen(n, k, count):
     assert rep.count == count and rep.rank == count
 
 
+def test_audits_build_one_monomial_per_object(monkeypatch):
+    calls = {}
+    for name in ("z_A", "z_C", "z_D"):
+        def counted(f, _name=name, _orig=getattr(clusterlab, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(f)
+        monkeypatch.setattr(clusterlab, name, counted)
+    rep = check_basis_A(5, 3)
+    assert calls == {"z_A": rep.count}
+    calls.clear()
+    rep = check_basis_C(3, 2)
+    assert calls == {"z_C": rep.count}
+    calls.clear()
+    rep = check_conjecture_D(3, 2)
+    assert calls == {"z_D": rep.count, "z_A": rep.lemma_count}
+    calls.clear()
+    rep = verify_equivariance("D", 3, 2)
+    assert calls == {"z_D": 2 * rep.total}
+
+
 def test_basis_report_json():
     d = check_basis_A(3, 1).to_json_dict()
     assert d["pass"] is True
@@ -1034,3 +1127,70 @@ def test_character_D():
                                  (IntLaurentPoly.monomial(0),
                                   IntLaurentPoly.monomial(n)))
         assert character_check_D(n, k, ones_point(n), (two, two))
+
+
+def reference_character_sum_A(n, k, y):
+    """The weight sum object by object over the listed multidissections."""
+    total = IntLaurentPoly(0)
+    for f in enumerate_multidissections("A", n, k):
+        weight = IntLaurentPoly(1)
+        for e, m in f.items():
+            weight = weight * (y[e.i - 1] * y[e.j - 1]) ** m
+        total = total + weight
+    return total
+
+
+def reference_character_sum_D(n, k, y, z):
+    total = IntLaurentPoly(0)
+    for g in lemma_basis_multidissections(n, k):
+        weight = IntLaurentPoly(1)
+        for e, m in g.items():
+            first = y[e.i - 1] if e.i <= n else z[e.i - n - 1]
+            second = y[e.j - 1] if e.j <= n else z[e.j - n - 1]
+            weight = weight * (first * second) ** m
+        total = total + weight
+    return total
+
+
+def character_points(n):
+    """Probe points with distinct values, so that a total over the wrong
+    objects or with the wrong weights reads differently."""
+    primes = as_point((2, 3, 5, 7, 11, 13, 17)[:n])
+    mixed = tuple(IntLaurentPoly({i: 1, -1: i - 2}) for i in range(n))
+    return [ones_point(n), principal_point(n), primes, mixed]
+
+
+@pytest.mark.parametrize("n,k", [(3, 0), (3, 2), (4, 3), (5, 2), (5, 4),
+                                 (6, 3), (7, 2)])
+def test_character_sum_A_matches_per_object_loop(n, k):
+    for y in character_points(n):
+        total = character_sum_A(n, k, y)
+        assert total == reference_character_sum_A(n, k, y)
+        assert total == schur_eval((k, k), y)
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 0), (2, 3), (3, 2), (4, 3),
+                                 (5, 2)])
+def test_character_sum_D_matches_per_object_loop(n, k):
+    zs = [ones_point(2), as_point((31, 37)),
+          (IntLaurentPoly({-1: 2}), IntLaurentPoly.monomial(n))]
+    for y, z in zip(character_points(n), zs + zs):
+        total = character_sum_D(n, k, y, z)
+        assert total == reference_character_sum_D(n, k, y, z)
+        assert character_check_D(n, k, y, z)
+
+
+def test_character_check_fails_on_a_wrong_sum(monkeypatch):
+    # the checks compare a total, so an off-by-one sum is a failure
+    real = clusterlab.weighted_assignment_sum
+    monkeypatch.setattr(clusterlab, "weighted_assignment_sum",
+                        lambda *args: real(*args) + 1)
+    assert not character_check_A(4, 2, principal_point(4))
+    assert not character_check_D(3, 2, principal_point(3), ones_point(2))
+
+
+def test_character_sums_reject_negative_k():
+    with pytest.raises(ValueError):
+        character_sum_A(4, -1, ones_point(4))
+    with pytest.raises(ValueError):
+        character_sum_D(3, -1, ones_point(3), ones_point(2))

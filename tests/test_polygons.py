@@ -29,7 +29,9 @@ from sievelab.polygons import (
     iter_weighted_assignments,
     min_n,
     polygon_size,
+    weighted_assignment_sum,
 )
+from sievelab.qseries import IntLaurentPoly
 
 
 def h_ones(n, j):
@@ -349,16 +351,82 @@ def weighted_systems(draw):
     return weights, crossing
 
 
+def crossing_masks(size, crossing):
+    """Bit j of entry i is set when (i, j) or (j, i) is a crossing pair."""
+    crosses = [0] * size
+    for i, j in crossing:
+        crosses[i] |= 1 << j
+        crosses[j] |= 1 << i
+    return crosses
+
+
 @settings(max_examples=300, deadline=None)
 @given(weighted_systems(), st.integers(0, 6), st.sampled_from([None, 1, 2]))
 def test_mask_enumerator_matches_pair_reference(system, target, max_mult):
     weights, crossing = system
-    crosses = [0] * len(weights)
-    for i, j in crossing:
-        crosses[i] |= 1 << j
-        crosses[j] |= 1 << i
+    crosses = crossing_masks(len(weights), crossing)
     assert list(iter_weighted_assignments(weights, target, crosses, max_mult)) \
         == list(reference_weighted_assignments(weights, target, crossing, max_mult))
+
+
+# --- weighted sums without listing --------------------------------------------
+
+def listed_sum(weights, target, crosses, values, max_mult):
+    """The per-support products summed over the listed supports."""
+    total = 0
+    for support in iter_weighted_assignments(weights, target, crosses, max_mult):
+        term = 1
+        for i, m in support:
+            term = term * values[i] ** m
+        total = total + term
+    return total
+
+
+laurent_values = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2),
+                                 max_size=3).map(IntLaurentPoly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_systems(), st.integers(0, 6), st.sampled_from([None, 1, 2]),
+       st.data())
+def test_weighted_sum_matches_listing(system, target, max_mult, data):
+    weights, crossing = system
+    crosses = crossing_masks(len(weights), crossing)
+    size = len(weights)
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    polys = data.draw(st.lists(laurent_values, min_size=size, max_size=size))
+    for values in (ints, polys):
+        assert weighted_assignment_sum(weights, target, crosses, values,
+                                       max_mult) \
+            == listed_sum(weights, target, crosses, values, max_mult)
+    # at all-ones values the sum counts the supports
+    assert weighted_assignment_sum(weights, target, crosses, [1] * size,
+                                   max_mult) \
+        == len(list(iter_weighted_assignments(weights, target, crosses,
+                                              max_mult)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_weighted_sum_counts_each_family(family):
+    table = edge_table(family, min_n(family) + 2)
+    max_mult = 1 if family.startswith("classical") else None
+    for k in range(0, 5):
+        assert weighted_assignment_sum(table.weights, k, table.crosses,
+                                       [1] * len(table.edges), max_mult) \
+            == len(enumerate_multidissections(family, min_n(family) + 2, k))
+
+
+def test_weighted_sum_recursion_follows_the_chosen_edges():
+    # far more edges than the recursion limit, none crossing: weight 2 is
+    # a pair of distinct edges or one edge twice
+    size = 3000
+    assert weighted_assignment_sum([1] * size, 2, [0] * size, [1] * size) \
+        == math.comb(size, 2) + size
+
+
+def test_weighted_sum_rejects_negative_weights():
+    with pytest.raises(ValueError):
+        weighted_assignment_sum([1, -1], 1, [0, 0], [1, 1])
 
 
 # --- oracle for the objects built without validation ------------------------

@@ -38,6 +38,41 @@ def test_constants_and_monomial():
     assert IntLaurentPoly.monomial(5, 0).is_zero()
 
 
+# --- bad inputs are rejected, never reinterpreted ------------------------------
+
+def test_float_coefficient_is_rejected():
+    with pytest.raises(TypeError):
+        IntLaurentPoly({0: 1.5})
+
+
+def test_float_exponent_is_rejected():
+    with pytest.raises(TypeError):
+        IntLaurentPoly({0.7: 2})
+
+
+def test_bool_coefficient_is_rejected():
+    with pytest.raises(TypeError):
+        IntLaurentPoly({0: True})
+
+
+def test_float_constant_is_rejected():
+    with pytest.raises(TypeError):
+        IntLaurentPoly(2.5)
+
+
+def test_arithmetic_results_match_checked_construction():
+    # the arithmetic builds its results unchecked; they must equal the
+    # checked constructor's, zero coefficients dropped
+    rng = random.Random(11)
+    for _ in range(100):
+        a, b = random_poly(rng), random_poly(rng)
+        for result in (a + b, a - b, a * b, -a, a.shift(3), a.subst_power(2),
+                       a.fold_exponents(4), a * 0, a + 0):
+            assert result == IntLaurentPoly(result.terms)
+            assert all(type(e) is int and type(c) is int and c
+                       for e, c in result.terms.items())
+
+
 def test_arithmetic_matches_fraction_evaluation():
     rng = random.Random(20240)
     points = [2, -3, Fraction(1, 2), Fraction(-5, 3)]
