@@ -22,7 +22,7 @@ from .polygons import (
     SOLID, CDiameter, CIntegrated, CSegregated,
     DDiameter, DPairInt, DPairSeg,
     Multidissection, _base_bc, edge_table,
-    enumerate_multidissections, iter_weighted_assignments,
+    enumerate_multidissections, iter_weighted_assignments, keep_last,
     weighted_assignment_sum,
 )
 from .qseries import IntLaurentPoly, ZERO as Q_ZERO
@@ -835,8 +835,11 @@ class BasisReport:
         return out
 
 
-def _basis_report(family: str, n: int, k: int, expected: int) -> BasisReport:
+def _basis_report(family: str, n: int, k: int, dimension) -> BasisReport:
+    """The basis audit of (family, n, k) against `dimension(ones_point(n))`,
+    taken after the listing has checked n and k."""
     mds = enumerate_multidissections(family, n, k)
+    expected = dimension(ones_point(n))
     polys = [cluster_monomial(family, f) for f in mds]
     r = rank(polys)
     passed = len(polys) == r == expected
@@ -850,18 +853,18 @@ def _basis_report(family: str, n: int, k: int, expected: int) -> BasisReport:
 def check_basis_A(n: int, k: int) -> BasisReport:
     """Monomials of k-edge multidissections against the rectangle Schur
     dimension."""
-    expected = schur_eval((k, k), ones_point(n)).constant_value()
-    return _basis_report("A", n, k, expected)
+    return _basis_report(
+        "A", n, k, lambda ones: schur_eval((k, k), ones).constant_value())
 
 
 def check_basis_C(n: int, k: int) -> BasisReport:
     """Monomials of the centrally symmetric family against the square of
     the one-row dimension."""
-    h = homog_eval(k, ones_point(n)).constant_value()
-    return _basis_report("C", n, k, h * h)
+    return _basis_report(
+        "C", n, k, lambda ones: homog_eval(k, ones).constant_value() ** 2)
 
 
-@lru_cache(maxsize=1)
+@keep_last
 def lemma_basis_multidissections(n: int, k: int) -> tuple:
     """A-multidissections of the (n+2)-gon avoiding the edge (n+1, n+2)
     whose endpoint count inside 1..n, with multiplicity, is exactly k.

@@ -26,7 +26,7 @@ supports without listing them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Iterator
 
@@ -354,6 +354,11 @@ def iter_weighted_assignments(weights, target: int, crosses,
     """
     if any(w < 0 for w in weights):
         raise ValueError("weights must be >= 0")
+    # pairs[idx][m - 1] is the one (idx, m) pair every support shares;
+    # an edge has a row up to its largest possible multiplicity
+    cap = target if max_mult is None else max_mult
+    pairs = [tuple((idx, m) for m in range(1, min(target // w, cap) + 1))
+             if w else () for idx, w in enumerate(weights)]
     chosen: list[tuple[int, int]] = []
 
     def rec(start: int, remaining: int, blocked: int):
@@ -365,14 +370,11 @@ def iter_weighted_assignments(weights, target: int, crosses,
             w = weights[idx]
             if w == 0 or w > remaining or blocked >> idx & 1:
                 continue
-            top = remaining // w
-            if max_mult is not None:
-                top = min(top, max_mult)
             below = blocked | crosses[idx]
-            chosen.append((idx, 0))
-            for m in range(1, top + 1):
-                chosen[-1] = (idx, m)
-                yield from rec(idx + 1, remaining - m * w, below)
+            chosen.append(None)
+            for pair in pairs[idx][:remaining // w]:
+                chosen[-1] = pair
+                yield from rec(idx + 1, remaining - pair[1] * w, below)
             chosen.pop()
 
     yield from rec(0, target, 0)
@@ -429,7 +431,34 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
     return rec(0, target, 0)
 
 
-@lru_cache(maxsize=1)
+def keep_last(build):
+    """`build` with its last result kept, as `lru_cache(maxsize=1)` keeps
+    it, with the same hits and misses; but a miss drops the kept result
+    before it builds the new one, so the cache never holds two.
+    `cache_info()` is the tuple (hits, misses, maxsize, currsize)."""
+    last: dict = {}  # at most one entry, args -> result
+    calls = [0, 0]  # hits, misses
+
+    @wraps(build)
+    def cached(*args):
+        if args in last:
+            calls[0] += 1
+            return last[args]
+        calls[1] += 1
+        last.clear()
+        result = last[args] = build(*args)
+        return result
+
+    def cache_clear():
+        last.clear()
+        calls[:] = [0, 0]
+
+    cached.cache_info = lambda: (*calls, 1, len(last))
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@keep_last
 def _enumerate_cached(family: str, n: int, k: int) -> tuple:
     """The last enumeration is kept, so `invariant_multidissections` right
     after `orbit_sizes` enumerates once."""

@@ -366,6 +366,25 @@ def test_invariant_multidissections_consistency():
             assert is_fixed(md, d) == (md in inv)
 
 
+def test_orbit_sizes_then_invariants_list_once(monkeypatch):
+    import sievelab.polygons as polygons
+
+    real = polygons.iter_weighted_assignments
+    builds = []
+
+    def build(*args):
+        builds.append(args[1])
+        return real(*args)
+
+    polygons._enumerate_cached.cache_clear()
+    monkeypatch.setattr(polygons, "iter_weighted_assignments", build)
+    sizes = orbit_sizes("A", 6, 3)
+    inv = invariant_multidissections("A", 6, 3, 2)
+    assert builds == [3]
+    assert polygons._enumerate_cached.cache_info()[:2] == (2, 1)
+    assert len(inv) == sum(2 % s == 0 for s in sizes) > 0
+
+
 # --- folding ------------------------------------------------------------------
 
 def test_fold_target_param():

@@ -276,6 +276,25 @@ def test_bad_range_syntax(capsys):
     assert code == 2
 
 
+def _selector_argv(selector):
+    """A sweep of one verify theorem or audit selector at n = 4, with
+    --family where the selector needs it."""
+    command = (["verify", "--theorem", selector]
+               if selector in cli.THEOREM_SELECTORS else ["audit", selector])
+    family = ["--family", "A"] if selector in ("orbit-poly", "equivariance") \
+        else []
+    return command + family + ["--n", "4"]
+
+
+@pytest.mark.parametrize("selector",
+                         cli.THEOREM_SELECTORS + cli.AUDIT_SELECTORS)
+def test_negative_edge_count_is_a_usage_error(capsys, selector):
+    code = main(_selector_argv(selector) + ["--k", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: edge count must be >= 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--family", "classicalBC", "--n", "3", "--k", "1"],
     ["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1"],

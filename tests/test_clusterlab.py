@@ -1,6 +1,7 @@
 """Exact linear algebra over Gaussian rationals: cluster monomials, bases,
 rotation equivariance, and the spanning conjecture audit."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import clusterlab
+from sievelab import clusterlab, polygons
 from sievelab.actions import rotate_multidissection
 from sievelab.clusterlab import (
     GR_HALF,
@@ -1194,3 +1195,50 @@ def test_character_sums_reject_negative_k():
         character_sum_A(4, -1, ones_point(4))
     with pytest.raises(ValueError):
         character_sum_D(3, -1, ones_point(3), ones_point(2))
+
+
+# --- listing memory -------------------------------------------------------------
+
+def held_objects(family, n):
+    """Listed objects of (family, n) that something still refers to."""
+    gc.collect()
+    return sum(isinstance(o, Multidissection) and o.family == family
+               and o.n == n for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("module,name,first,second,held", [
+    (polygons, "_enumerate_cached", ("C", 4, 3), ("C", 5, 3), ("C", 4)),
+    (clusterlab, "lemma_basis_multidissections", (3, 2), (4, 2), ("A", 5)),
+])
+def test_kept_listing_is_dropped_before_the_next_is_built(
+        monkeypatch, module, name, first, second, held):
+    cached = getattr(module, name)
+    real = module.iter_weighted_assignments
+    held_at_build = []
+
+    def build(*args):
+        held_at_build.append(held_objects(*held))
+        return real(*args)
+
+    cached.cache_clear()
+    before = held_objects(*held)
+    monkeypatch.setattr(module, "iter_weighted_assignments", build)
+    assert len(cached(*first)) > 0
+    assert held_objects(*held) > before  # the kept listing
+    cached(*second)
+    assert held_at_build == [before, before]
+    assert cached.cache_info() == (0, 2, 1, 1)
+
+
+def test_conjecture_audit_lists_the_lemma_basis_once(monkeypatch):
+    real = clusterlab.iter_weighted_assignments
+    builds = []
+
+    def build(*args):
+        builds.append(args[1])
+        return real(*args)
+
+    clusterlab.lemma_basis_multidissections.cache_clear()
+    monkeypatch.setattr(clusterlab, "iter_weighted_assignments", build)
+    assert check_conjecture_D(3, 2).passed
+    assert builds == [2]

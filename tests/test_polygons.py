@@ -1,6 +1,8 @@
 """Edge universes, crossing rules, and multidissection enumeration."""
 
 import math
+import weakref
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -27,6 +29,7 @@ from sievelab.polygons import (
     enumerate_classical,
     enumerate_multidissections,
     iter_weighted_assignments,
+    keep_last,
     min_n,
     polygon_size,
     weighted_assignment_sum,
@@ -427,6 +430,88 @@ def test_weighted_sum_recursion_follows_the_chosen_edges():
 def test_weighted_sum_rejects_negative_weights():
     with pytest.raises(ValueError):
         weighted_assignment_sum([1, -1], 1, [0, 0], [1, 1])
+
+
+# --- listing memory -----------------------------------------------------------
+
+def assert_pairs_shared(supports):
+    """Equal (edge index, multiplicity) pairs of the supports are one
+    object; returns how many pairs the supports hold."""
+    pairs = {}
+    total = 0
+    for support in supports:
+        for pair in support:
+            assert pairs.setdefault(pair, pair) is pair, pair
+            total += 1
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_systems(), st.integers(0, 6), st.sampled_from([None, 1, 2]))
+def test_enumerator_shares_each_pair(system, target, max_mult):
+    weights, crossing = system
+    assert_pairs_shared(iter_weighted_assignments(
+        weights, target, crossing_masks(len(weights), crossing), max_mult))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_listing_holds_one_object_per_pair(family):
+    listing = enumerate_multidissections(family, min_n(family) + 4, 3)
+    # far more pairs than distinct ones, so sharing is what is tested
+    assert assert_pairs_shared(md.index_items() for md in listing) \
+        > 10 * len(edge_table(family, min_n(family) + 4).edges)
+
+
+def test_listing_is_a_fresh_list():
+    first = enumerate_multidissections("A", 5, 2)
+    second = enumerate_multidissections("A", 5, 2)
+    assert type(first) is list and first is not second and first == second
+    first.clear()
+    assert enumerate_multidissections("A", 5, 2) == second
+
+
+def test_keep_last_counts_like_lru_cache():
+    kept = keep_last(lambda x: [x])
+    lru = lru_cache(maxsize=1)(lambda x: [x])
+    for x in (1, 1, 2, 1, 1, 3):
+        assert kept(x) == lru(x)
+        assert kept.cache_info() == tuple(lru.cache_info())
+    kept.cache_clear()
+    assert kept.cache_info() == (0, 0, 1, 0)
+
+
+def test_keep_last_drops_its_result_before_building_the_next():
+    class Result:
+        pass
+
+    built = []
+    alive_at_build = []
+
+    def build(x):
+        alive_at_build.append([ref() is not None for ref in built])
+        result = Result()
+        built.append(weakref.ref(result))
+        return result
+
+    kept = keep_last(build)
+    assert kept(1) is kept(1)
+    kept(2)
+    assert alive_at_build == [[], [False]]
+    assert built[1]() is not None
+
+
+def test_keep_last_keeps_nothing_after_a_failed_build():
+    def build(x):
+        if x < 0:
+            raise ValueError(x)
+        return [x]
+
+    kept = keep_last(build)
+    kept(1)
+    with pytest.raises(ValueError):
+        kept(-1)
+    assert kept.cache_info() == (0, 2, 1, 0)
+    assert kept(1) == [1] and kept.cache_info() == (0, 3, 1, 1)
 
 
 # --- oracle for the objects built without validation ------------------------
