@@ -23,11 +23,10 @@ from collections import Counter
 from math import gcd
 
 from .polygons import (
-    SOLID, DOTTED,
-    CDiameter, CSegregated, CIntegrated,
-    DDiameter, DPairSeg, DPairInt,
-    Multidissection, edge_chords, edge_table, edge_universe,
-    enumerate_multidissections, is_classical, weighted_assignment_sum,
+    DIAMETER, DOTTED, SOLID, DDiameter,
+    Multidissection, check_edge, edge_chords, edge_table, edge_universe,
+    enumerate_multidissections, is_classical, polygon_size,
+    weighted_assignment_sum,
 )
 
 
@@ -65,10 +64,8 @@ def _permutation(family: str, n: int, d: int,
 
 def rotate_edge(family: str, n: int, e, generator_step: int | None = None):
     """One application of the family's generator to a single edge."""
+    check_edge(family, e, n)
     table = edge_table(family, n)
-    if e not in table.index:
-        raise ValueError("edge %r is not valid for family %s, n=%d"
-                         % (e, family, n))
     gen = _permutation(family, n, 1, generator_step)
     return table.edges[gen[table.index[e]]]
 
@@ -237,36 +234,17 @@ def fold_target_param(n: int, d: int) -> int:
     return d if n % d == 0 else d // 2
 
 
-def _d_pair_from_chord(m: int, u: int, v: int):
-    """The centrally symmetric pair of the 2m-gon containing chord {u, v}
-    (0-indexed, nondiameter)."""
-    u %= 2 * m
-    v %= 2 * m
-    if u == v or (v - u) % (2 * m) == m:
-        raise ValueError("chord {%d, %d} is degenerate in P_%d" % (u, v, 2 * m))
-    u_barred, v_barred = u >= m, v >= m
-    x = u - m + 1 if u_barred else u + 1
-    y = v - m + 1 if v_barred else v + 1
-    if u_barred == v_barred:
-        return DPairSeg(min(x, y), max(x, y))
-    return DPairInt(min(x, y), max(x, y))
-
-
-def _orbits(md: Multidissection, emap: dict) -> list[tuple[tuple, int]]:
-    """Support split into generator^d-orbits as (orbit edges, multiplicity)."""
-    seen = set()
-    out = []
-    for e, m in md.items():
-        if e in seen:
-            continue
-        orbit = [e]
-        cur = emap[e]
-        while cur != e:
-            orbit.append(cur)
-            cur = emap[cur]
-        seen.update(orbit)
-        out.append((tuple(orbit), m))
-    return out
+def _edge_of_chord(family: str, n: int, u: int, v: int, color=None):
+    """The edge of (family, n) holding chord {u, v} (vertices mod the
+    polygon size) with that color; a missing chord is an internal fault."""
+    size = polygon_size(family, n)
+    u, v = sorted((u % size, v % size))
+    table = edge_table(family, n)
+    idx = table.chord_index.get(((u, v), color))
+    if idx is None:
+        raise ArithmeticError("chord {%d, %d} is not an edge of family %s, "
+                              "n=%d" % (u, v, family, n))
+    return table.edges[idx]
 
 
 def fold(n: int, d: int, f: Multidissection) -> Multidissection:
@@ -276,27 +254,34 @@ def fold(n: int, d: int, f: Multidissection) -> Multidissection:
         raise ValueError("fold expects a colored multidissection of the 2n-gon")
     if not is_fixed(f, d):
         raise ValueError("multidissection is not invariant under power %d" % d)
-    emap = dict(rotation_edge_map("D", n, d))
+    perm = _permutation("D", n, d, None)
+    table = edge_table("D", n)
     target: dict = {}
-    for orbit, m in _orbits(f, emap):
-        rep = orbit[0]
-        if isinstance(rep, DDiameter):
-            te = DDiameter((rep.a - 1) % p + 1, rep.color)
-            target[te] = target.get(te, 0) + m
+    folded: set = set()
+    for i, m in f.index_items():
+        if i in folded:
             continue
-        u, v = edge_chords("D", n, rep)[0]
-        diff = (v - u) % (2 * p)
-        if diff == 0:
+        # the orbit of i lies in the support with multiplicity m; i
+        # stands for it
+        j = i
+        while j not in folded:
+            folded.add(j)
+            j = perm[j]
+        e = table.edges[i]
+        u, v = edge_chords("D", n, e)[0]
+        if table.shapes[i] == DIAMETER:
+            images = [(u, u + p, e.color)]
+        elif (v - u) % p:
+            images = [(u, v, None)]
+        elif (v - u) % (2 * p):
+            # the chord class closes up into an inscribed polygon
+            images = [(u, v, SOLID), (u, v, DOTTED)]
+        else:
             # orbits folding to a point always self-cross; unreachable
             # from a valid noncrossing input
             raise ArithmeticError("degenerate fold of chord {%d, %d}" % (u, v))
-        if diff == p:
-            idx = u % p + 1
-            for color in (SOLID, DOTTED):
-                te = DDiameter(idx, color)
-                target[te] = target.get(te, 0) + m
-        else:
-            te = _d_pair_from_chord(p, u, v)
+        for u, v, color in images:
+            te = _edge_of_chord("D", p, u, v, color)
             target[te] = target.get(te, 0) + m
     return Multidissection("D", p, target)
 
@@ -308,7 +293,7 @@ def _lift_chord_class(n: int, p: int, u: int, delta: int) -> set:
     for j in range(2 * n // p):
         a = (u + j * p) % (2 * n)
         b = (u + delta + j * p) % (2 * n)
-        out.add(_d_pair_from_chord(n, a, b))
+        out.add(_edge_of_chord("D", n, a, b))
     if len(out) != n // p:
         raise ArithmeticError("chord class lift produced a wrong orbit size")
     return out
@@ -320,11 +305,17 @@ def unfold(n: int, d: int, g: Multidissection) -> Multidissection:
     p = fold_target_param(n, d)
     if g.family != "D" or g.n != p:
         raise ValueError("unfold expects a multidissection of the fold target")
-    solid = {e.a: m for e, m in g.items()
-             if isinstance(e, DDiameter) and e.color == SOLID}
-    dotted = {e.a: m for e, m in g.items()
-              if isinstance(e, DDiameter) and e.color == DOTTED}
+    table = edge_table("D", p)
+    colored: dict = {SOLID: {}, DOTTED: {}}
     support: dict = {}
+    for e, m in g.items():
+        if table.shapes[table.index[e]] == DIAMETER:
+            colored[e.color][e.a] = m
+            continue
+        u, v = edge_chords("D", p, e)[-1]
+        for pair in _lift_chord_class(n, p, u, v - u):
+            support[pair] = support.get(pair, 0) + m
+    solid, dotted = colored[SOLID], colored[DOTTED]
 
     if p < n:
         # bicolored diameters come from inscribed polygons; peel off the
@@ -336,23 +327,11 @@ def unfold(n: int, d: int, g: Multidissection) -> Multidissection:
             for pair in _lift_chord_class(n, p, i - 1, p):
                 support[pair] = support.get(pair, 0) + m
 
-    for colored, color in ((solid, SOLID), (dotted, DOTTED)):
-        for i, m in colored.items():
-            if not m:
-                continue
+    for color, diameters in colored.items():
+        for i, m in diameters.items():
             for j in range(n // p):
                 e = DDiameter(i + j * p, color)
                 support[e] = support.get(e, 0) + m
-
-    for e, m in g.items():
-        if isinstance(e, DDiameter):
-            continue
-        if isinstance(e, DPairSeg):
-            u, delta = e.a - 1, e.b - e.a
-        else:
-            u, delta = e.b - 1, p + e.a - e.b
-        for pair in _lift_chord_class(n, p, u, delta):
-            support[pair] = support.get(pair, 0) + m
 
     lifted = Multidissection("D", n, support)
     if not is_fixed(lifted, d):
@@ -380,22 +359,22 @@ def odd_power_correspondence(n: int, d: int, k: int) -> list[tuple[Multidissecti
         raise ValueError("this correspondence is for odd powers")
     if k % 2:
         return []
+    table = edge_table("D", n)
     out = []
     for f in invariant_multidissections("D", n, k, d):
         support: dict = {}
-        balance: dict[int, dict[str, int]] = {}
+        balance: dict[tuple, dict[str, int]] = {}
         for e, m in f.items():
-            if isinstance(e, DDiameter):
-                balance.setdefault(e.a, {})[e.color] = m
-            elif isinstance(e, DPairSeg):
-                support[CSegregated(e.a, e.b)] = m
+            chord = edge_chords("D", n, e)[0]
+            if table.shapes[table.index[e]] == DIAMETER:
+                balance.setdefault(chord, {})[e.color] = m
             else:
-                support[CIntegrated(e.a, e.b)] = m
-        for a, colors in balance.items():
+                support[_edge_of_chord("C", n, *chord)] = m
+        for chord, colors in balance.items():
             if colors.get(SOLID, 0) != colors.get(DOTTED, 0):
                 raise ArithmeticError("invariant multidissection is not "
                                       "diameter-balanced")
-            support[CDiameter(a)] = colors[SOLID]
+            support[_edge_of_chord("C", n, *chord)] = colors[SOLID]
         c = Multidissection("C", n, support)
         if c.edge_count() != k // 2 or not is_fixed(c, d):
             raise ArithmeticError("correspondence produced an invalid image")

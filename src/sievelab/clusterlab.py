@@ -19,8 +19,7 @@ from typing import Iterable
 
 from .actions import resolve_step, rotate_multidissection
 from .polygons import (
-    SOLID, CDiameter, CIntegrated, CSegregated,
-    DDiameter, DPairInt, DPairSeg,
+    DIAMETER, EDGE, INTEGRATED, SEGREGATED, SOLID,
     Multidissection, _base_bc, edge_table,
     enumerate_multidissections, iter_weighted_assignments, keep_last,
     weighted_assignment_sum,
@@ -397,44 +396,28 @@ def _quadratic(nrows: int, terms) -> XPoly:
         for r1, c1, r2, c2, c in terms})
 
 
-def _z_c_edge(n: int, e) -> XPoly:
-    """The edge's factor without its scalar; every coefficient is an
-    integer."""
-    if isinstance(e, CDiameter):
-        return _quadratic(n, ((e.a, 1, e.a, 2, 1),))
-    if isinstance(e, (CIntegrated, CSegregated)):
-        sign = 1 if isinstance(e, CIntegrated) else -1
-        return _quadratic(n, ((e.a, 1, e.b, 2, 1), (e.a, 2, e.b, 1, sign)))
-    raise TypeError("not a type C edge: %r" % (e,))
-
-
-def _z_d_edge(n: int, e) -> XPoly:
-    N = n + 2
-    if isinstance(e, DDiameter):
-        col_row = N - 1 if e.color == SOLID else N
-        return minor(e.a, col_row, N)
-    cross = minor(e.a, N - 1, N) * minor(e.b, N, N)
-    inner = minor(e.a, e.b, N)
-    if isinstance(e, DPairSeg):
-        return cross + inner
-    if isinstance(e, DPairInt):
-        return cross - inner
-    raise TypeError("not a type D edge: %r" % (e,))
-
-
 @lru_cache(maxsize=256)
 def _factor_power(family: str, n: int, idx: int, m: int) -> XPoly:
     """The m-th power of the factor of edge `idx` of the family's table: a
-    minor in type A, the scalar-free factor in type C, the (n+2)-row
-    factor in type D."""
-    e = edge_table(family, n).edges[idx]
-    base = _base_bc(family)
-    if base == "A":
+    minor in type A; in type C, x_{a1} x_{a2} for a diameter and
+    x_{a1} x_{b2} +- x_{a2} x_{b1} for a chord pair, without its scalar;
+    in type D, the (n+2)-row factor."""
+    table = edge_table(family, n)
+    e, shape = table.edges[idx], table.shapes[idx]
+    type_c = _base_bc(family) == "C"
+    if shape == EDGE:
         factor = minor(e.i, e.j, n)
-    elif base == "C":
-        factor = _z_c_edge(n, e)
+    elif type_c and shape == DIAMETER:
+        factor = _quadratic(n, ((e.a, 1, e.a, 2, 1),))
+    elif type_c:
+        sign = 1 if shape == INTEGRATED else -1
+        factor = _quadratic(n, ((e.a, 1, e.b, 2, 1), (e.a, 2, e.b, 1, sign)))
+    elif shape == DIAMETER:
+        factor = minor(e.a, n + 1 if e.color == SOLID else n + 2, n + 2)
     else:
-        factor = _z_d_edge(n, e)
+        cross = minor(e.a, n + 1, n + 2) * minor(e.b, n + 2, n + 2)
+        inner = minor(e.a, e.b, n + 2)
+        factor = cross + inner if shape == SEGREGATED else cross - inner
     return factor ** m
 
 
@@ -473,11 +456,9 @@ def z_C(f: Multidissection) -> XPoly:
     (-i)^(segregated pairs) / 2^(chord pairs)."""
     if f.family not in ("C", "classicalBC"):
         raise ValueError("expected a type C multidissection")
-    pairs = segregated = 0
-    for e, m in f.items():
-        if not isinstance(e, CDiameter):
-            pairs += m
-            segregated += m if isinstance(e, CSegregated) else 0
+    shapes = edge_table(f.family, f.n).shapes
+    pairs = sum(m for i, m in f.index_items() if shapes[i] != DIAMETER)
+    segregated = sum(m for i, m in f.index_items() if shapes[i] == SEGREGATED)
     re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[segregated % 4]
     return _monomial_product(f, f.n).scale(
         GaussRat(Fraction(re, 1 << pairs), Fraction(im, 1 << pairs)))

@@ -13,9 +13,9 @@ labels use 1..n (and the "barred" copy n+1..2n internally maps to labels
 with a bar).  Edge counts weigh a centrally symmetric pair of family D as
 two edges; everything else weighs one.
 
-All per-edge facts of one (family, n) live in its `EdgeTable`: the
-universe in canonical order, each edge's position, weights, crossing
-masks and the one-vertex-step rotation, all by edge position.
+All per-edge facts of one (family, n) live in its `EdgeTable`, by edge
+position: the universe in canonical order, weights, crossing masks, the
+one-vertex-step rotation, shapes, JSON labels and a chord index.
 `edge_table` builds it once and keeps the last few.
 
 `iter_weighted_assignments` lists the noncrossing supports of a given
@@ -25,7 +25,7 @@ supports without listing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Iterator
@@ -112,28 +112,52 @@ def min_n(family: str) -> int:
     return 2
 
 
+# Each edge class once: its base family, its shape and its JSON label
+# kind.  Family D's classes share family C's shapes.
+EDGE, DIAMETER, SEGREGATED, INTEGRATED = "edge", "diameter", "segregated", "integrated"
+_KINDS = {
+    AEdge: ("A", EDGE, "edge"),
+    CDiameter: ("C", DIAMETER, "diameter"),
+    CSegregated: ("C", SEGREGATED, "segregated"),
+    CIntegrated: ("C", INTEGRATED, "integrated"),
+    DDiameter: ("D", DIAMETER, "diameter"),
+    DPairSeg: ("D", SEGREGATED, "cs_segregated"),
+    DPairInt: ("D", INTEGRATED, "cs_integrated"),
+}
+
+
+def check_edge(family: str, e, n: int | None = None) -> None:
+    """A ValueError unless e is an edge of the family, and of its polygon
+    of parameter n when n is given."""
+    if n is None:
+        if _KINDS.get(type(e), ("",))[0] != _base_bc(family):
+            raise ValueError("edge %r is not valid for family %s" % (e, family))
+    elif e not in edge_table(family, n).index:
+        raise ValueError("edge %r is not valid for family %s, n=%d" % (e, family, n))
+
+
 def edge_weight(family: str, e) -> int:
     """Contribution of one unit of multiplicity to the edge count."""
-    if family == "D" and isinstance(e, (DPairSeg, DPairInt)):
-        return 2
-    return 1
+    check_edge(family, e)
+    return 2 if family == "D" and _KINDS[type(e)][1] != DIAMETER else 1
+
+
+def _chords(n: int, e) -> tuple[tuple[int, int], ...]:
+    shape = _KINDS[type(e)][1]
+    if shape == EDGE:
+        return ((e.i - 1, e.j - 1),)
+    if shape == DIAMETER:
+        return ((e.a - 1, n + e.a - 1),)
+    a, b = e.a - 1, e.b - 1
+    if shape == SEGREGATED:
+        return ((a, b), (n + a, n + b))
+    return ((a, n + b), (b, n + a))
 
 
 def edge_chords(family: str, n: int, e) -> tuple[tuple[int, int], ...]:
     """Constituent chords as sorted 0-indexed vertex pairs."""
-    base = _base_bc(family)
-    if base == "A":
-        return ((e.i - 1, e.j - 1),)
-    if isinstance(e, (CDiameter, DDiameter)):
-        a = e.a
-        return ((a - 1, n + a - 1),)
-    if isinstance(e, (CSegregated, DPairSeg)):
-        a, b = e.a, e.b
-        return ((a - 1, b - 1), (n + a - 1, n + b - 1))
-    if isinstance(e, (CIntegrated, DPairInt)):
-        a, b = e.a, e.b
-        return ((a - 1, n + b - 1), (b - 1, n + a - 1))
-    raise TypeError("edge %r does not belong to family %s" % (e, family))
+    check_edge(family, e, n)
+    return _chords(n, e)
 
 
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
@@ -144,16 +168,20 @@ def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return a < c < b < d or c < a < d < b
 
 
-def edges_cross(family: str, n: int, e1, e2) -> bool:
-    if e1 == e2:
-        return False
-    if isinstance(e1, DDiameter) and isinstance(e2, DDiameter):
+def _cross(n: int, e1, e2) -> bool:
+    color1, color2 = getattr(e1, "color", None), getattr(e2, "color", None)
+    if color1 and color2:
         # distinct same-color diameters and identical different-color
         # diameters do not cross; distinct different-color diameters do
-        return e1.a != e2.a and e1.color != e2.color
+        return e1.a != e2.a and color1 != color2
     return any(chords_cross(c1, c2)
-               for c1 in edge_chords(family, n, e1)
-               for c2 in edge_chords(family, n, e2))
+               for c1 in _chords(n, e1) for c2 in _chords(n, e2))
+
+
+def edges_cross(family: str, n: int, e1, e2) -> bool:
+    check_edge(family, e1, n)
+    check_edge(family, e2, n)
+    return e1 != e2 and _cross(n, e1, e2)
 
 
 @dataclass(frozen=True)
@@ -165,13 +193,17 @@ class EdgeTable:
     are the per-edge edge-count contributions, bit j of `crosses[i]` is
     set when edges i and j cross, and `rotation` is one vertex step of
     the polygon (with every colored diameter swapping color) as a
-    permutation of positions."""
+    permutation of positions.  `shapes` and `labels` are by position too;
+    `chord_index` maps (chord, color or None) to the edge holding it."""
 
     edges: tuple
     index: dict
     weights: tuple[int, ...]
     crosses: tuple[int, ...]
     rotation: tuple[int, ...]
+    shapes: tuple[str, ...]
+    labels: tuple[dict, ...]
+    chord_index: dict
 
 
 def _universe(family: str, n: int) -> list:
@@ -191,7 +223,7 @@ def _universe(family: str, n: int) -> list:
         # classical families leave out the polygon's sides
         m = polygon_size(family, n)
         edges = [e for e in edges
-                 if all(v - u not in (1, m - 1) for u, v in edge_chords(family, n, e))]
+                 if all(v - u not in (1, m - 1) for u, v in _chords(n, e))]
     return edges
 
 
@@ -205,17 +237,15 @@ def edge_table(family: str, n: int) -> EdgeTable:
         raise ValueError("family %s needs n >= %d" % (family, min_n(family)))
     edges = tuple(_universe(family, n))
     m = polygon_size(family, n)
-    swap = {SOLID: DOTTED, DOTTED: SOLID}
-
-    def chords(e, shift):
-        return frozenset(tuple(sorted(((u + shift) % m, (v + shift) % m)))
-                         for u, v in edge_chords(family, n, e))
-
-    position = {(chords(e, 0), getattr(e, "color", None)): i
-                for i, e in enumerate(edges)}
+    colors = [getattr(e, "color", None) for e in edges]
+    chord_index = {(chord, color): i
+                   for i, (e, color) in enumerate(zip(edges, colors))
+                   for chord in _chords(n, e)}
+    swap = {SOLID: DOTTED, DOTTED: SOLID, None: None}
+    turned = [tuple(sorted((x + 1) % m for x in _chords(n, e)[0])) for e in edges]
     crosses = [0] * len(edges)
     for i, j in combinations(range(len(edges)), 2):
-        if edges_cross(family, n, edges[i], edges[j]):
+        if _cross(n, edges[i], edges[j]):
             crosses[i] |= 1 << j
             crosses[j] |= 1 << i
     return EdgeTable(
@@ -223,8 +253,11 @@ def edge_table(family: str, n: int) -> EdgeTable:
         index={e: i for i, e in enumerate(edges)},
         weights=tuple(edge_weight(family, e) for e in edges),
         crosses=tuple(crosses),
-        rotation=tuple(position[chords(e, 1), swap.get(getattr(e, "color", None))]
-                       for e in edges))
+        rotation=tuple(chord_index[chord, swap[color]]
+                       for chord, color in zip(turned, colors)),
+        shapes=tuple(_KINDS[type(e)][1] for e in edges),
+        labels=tuple(edge_label(e) for e in edges),
+        chord_index=chord_index)
 
 
 def edge_universe(family: str, n: int) -> tuple:
@@ -243,9 +276,7 @@ class Multidissection:
         classical = is_classical(family)
         items = []
         for e, m in support.items():
-            if e not in table.index:
-                raise ValueError("edge %r is not valid for family %s, n=%d"
-                                 % (e, family, n))
+            check_edge(family, e, n)
             if isinstance(m, bool) or not isinstance(m, int):
                 raise ValueError("multiplicity %r on %r is not an integer"
                                  % (m, e))
@@ -315,31 +346,21 @@ class Multidissection:
         return "Multidissection(%r, %d, %r)" % (self.family, self.n, dict(self.items()))
 
     def to_json_dict(self) -> dict:
+        labels = edge_table(self.family, self.n).labels
         return {
             "family": self.family,
             "n": self.n,
             "edge_count": self.edge_count(),
-            "edges": [{"edge": edge_label(e), "multiplicity": m} for e, m in self.items()],
+            "edges": [{"edge": labels[i].copy(), "multiplicity": m}
+                      for i, m in self._items],
         }
 
 
 def edge_label(e) -> dict:
-    """Human-readable label for JSON output."""
-    if isinstance(e, AEdge):
-        return {"kind": "edge", "i": e.i, "j": e.j}
-    if isinstance(e, CDiameter):
-        return {"kind": "diameter", "a": e.a}
-    if isinstance(e, CSegregated):
-        return {"kind": "segregated", "a": e.a, "b": e.b}
-    if isinstance(e, CIntegrated):
-        return {"kind": "integrated", "a": e.a, "b": e.b}
-    if isinstance(e, DDiameter):
-        return {"kind": "diameter", "a": e.a, "color": e.color}
-    if isinstance(e, DPairSeg):
-        return {"kind": "cs_segregated", "a": e.a, "b": e.b}
-    if isinstance(e, DPairInt):
-        return {"kind": "cs_integrated", "a": e.a, "b": e.b}
-    raise TypeError("not an edge: %r" % (e,))
+    """Human-readable label for JSON output: kind, then the edge's fields."""
+    if type(e) not in _KINDS:
+        raise TypeError("not an edge: %r" % (e,))
+    return {"kind": _KINDS[type(e)][2], **asdict(e)}
 
 
 def iter_weighted_assignments(weights, target: int, crosses,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.actions import (
+    _edge_of_chord,
     action_order,
     count_fixed,
     declared_group_order,
@@ -423,6 +424,27 @@ def test_unfold_example():
     g = Multidissection("D", 2, {DPairSeg(1, 2): 1})
     f = unfold(4, 2, g)
     assert dict(f.support) == {DPairSeg(1, 2): 1, DPairSeg(3, 4): 1}
+
+
+def test_chord_lookup():
+    # vertices are taken modulo the polygon size, in either order
+    assert _edge_of_chord("D", 3, 4, 0) == DPairInt(1, 2)
+    assert _edge_of_chord("D", 3, 7, 8) == DPairSeg(2, 3)
+    assert _edge_of_chord("D", 3, 2, 5, DOTTED) == DDiameter(3, DOTTED)
+    assert _edge_of_chord("C", 3, 0, 3) == CDiameter(1)
+
+
+@pytest.mark.parametrize("family,n,u,v,color", [
+    ("D", 3, 0, 3, None),  # a colored diameter asked without its color
+    ("D", 3, 1, 1, None),  # a point
+    ("C", 3, 0, 3, SOLID),  # an uncolored diameter asked with a color
+    ("classicalA", 6, 0, 1, None),  # a side of the polygon
+])
+def test_chord_lookup_miss_is_an_internal_fault(family, n, u, v, color):
+    # folding only asks for chords of the table, so a miss is a failed
+    # invariant (exit 3), never a bare KeyError
+    with pytest.raises(ArithmeticError, match="is not an edge of family"):
+        _edge_of_chord(family, n, u, v, color)
 
 
 def test_fold_rejects_non_invariant():

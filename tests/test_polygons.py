@@ -22,6 +22,8 @@ from sievelab.polygons import (
     DPairSeg,
     SOLID,
     Multidissection,
+    edge_chords,
+    edge_label,
     edge_table,
     edge_universe,
     edge_weight,
@@ -126,6 +128,94 @@ def edge_sort_key(e):
     if isinstance(e, DPairInt):
         return (2, e.a, e.b, 0)
     raise TypeError("not an edge: %r" % (e,))
+
+
+# --- reference edge labels ---------------------------------------------------
+
+def reference_edge_label(e):
+    """The per-class JSON label that the generic label replaced."""
+    if isinstance(e, AEdge):
+        return {"kind": "edge", "i": e.i, "j": e.j}
+    if isinstance(e, CDiameter):
+        return {"kind": "diameter", "a": e.a}
+    if isinstance(e, CSegregated):
+        return {"kind": "segregated", "a": e.a, "b": e.b}
+    if isinstance(e, CIntegrated):
+        return {"kind": "integrated", "a": e.a, "b": e.b}
+    if isinstance(e, DDiameter):
+        return {"kind": "diameter", "a": e.a, "color": e.color}
+    if isinstance(e, DPairSeg):
+        return {"kind": "cs_segregated", "a": e.a, "b": e.b}
+    if isinstance(e, DPairInt):
+        return {"kind": "cs_integrated", "a": e.a, "b": e.b}
+    raise TypeError("not an edge: %r" % (e,))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_edge_labels_match_reference(family):
+    # key order is part of the JSON output, so items are compared in order
+    for n in range(min_n(family), min_n(family) + 4):
+        table = edge_table(family, n)
+        for i, e in enumerate(table.edges):
+            want = list(reference_edge_label(e).items())
+            assert list(edge_label(e).items()) == want, e
+            assert list(table.labels[i].items()) == want, e
+            listed = Multidissection(family, n, {e: 1}).to_json_dict()
+            assert list(listed["edges"][0]["edge"].items()) == want, e
+
+
+def test_edge_label_rejects_non_edges():
+    with pytest.raises(TypeError, match="not an edge"):
+        edge_label((1, 2))
+
+
+def test_json_labels_are_copies():
+    table = edge_table("D", 3)
+    first = Multidissection("D", 3, {DDiameter(1, SOLID): 2})
+    second = Multidissection("D", 3, {DDiameter(1, SOLID): 1, DPairSeg(1, 3): 1})
+    label = first.to_json_dict()["edges"][0]["edge"]
+    label["kind"] = "changed"
+    label["a"] = 99
+    assert second.to_json_dict()["edges"][0]["edge"] \
+        == {"kind": "diameter", "a": 1, "color": SOLID}
+    assert first.to_json_dict()["edges"][0]["edge"]["kind"] == "diameter"
+    assert table.labels[table.index[DDiameter(1, SOLID)]] \
+        == {"kind": "diameter", "a": 1, "color": SOLID}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chord_index_finds_every_chord(family):
+    for n in range(min_n(family), min_n(family) + 4):
+        table = edge_table(family, n)
+        for i, e in enumerate(table.edges):
+            # a label names its shape, with a "cs_" prefix on D's pairs
+            assert table.shapes[i] \
+                == reference_edge_label(e)["kind"].removeprefix("cs_")
+            for chord in edge_chords(family, n, e):
+                assert table.chord_index[chord, getattr(e, "color", None)] == i
+
+
+# --- edges of another family or polygon -------------------------------------
+
+@pytest.mark.parametrize("rule,args", [
+    (edge_chords, ("A", 4, AEdge(1, 9))),
+    (edge_chords, ("C", 3, DDiameter(1, SOLID))),
+    (edge_chords, ("classicalA", 6, AEdge(1, 2))),
+    (edge_chords, ("D", 3, CSegregated(1, 2))),
+    (edge_weight, ("D", CSegregated(1, 2))),
+    (edge_weight, ("A", DPairSeg(1, 2))),
+    (edge_weight, ("classicalBC", AEdge(1, 3))),
+    (edges_cross, ("A", 4, AEdge(1, 3), CDiameter(1))),
+    (edges_cross, ("A", 4, CDiameter(1), AEdge(1, 3))),
+    (edges_cross, ("C", 3, CDiameter(1), CDiameter(4))),
+    (edges_cross, ("D", 3, DDiameter(1, SOLID), CDiameter(1))),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_foreign_edge_rejected_by_per_edge_rules(rule, args):
+    # an edge of another family or polygon is rejected, never
+    # reinterpreted through its fields
+    with pytest.raises(ValueError, match="is not valid for family %s"
+                                         % args[0]):
+        rule(*args)
 
 
 # --- universes ---------------------------------------------------------------
