@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -34,23 +33,6 @@ from .symfunc import ones_point, principal_point
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    family: str | None
-    n_values: tuple[int, ...]
-    k_values: tuple[int, ...]
-    theorem: str | None
-    audit: str | None
-    variant: str | None
-    generator_step: int | None
-    fmt: str
-    workers: int
-    out: str | None
-    exploratory: bool
-    limit: int | None
 
 
 def _parse_span(single, span, flag):
@@ -292,7 +274,7 @@ def _check_out(path: str | None):
     raise UsageError("cannot write %s: %s" % (path, os.strerror(code)))
 
 
-def _emit(config: RunConfig, payload: dict, to_csv, to_text):
+def _emit(config: argparse.Namespace, payload: dict, to_csv, to_text):
     """Write `payload` to --out or stdout: as JSON, or through `to_csv` or
     `to_text`."""
     if config.fmt == "json":
@@ -314,7 +296,7 @@ def _emit(config: RunConfig, payload: dict, to_csv, to_text):
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(config: RunConfig) -> int:
+def cmd_enumerate(config: argparse.Namespace) -> int:
     if config.family is None:
         raise UsageError("enumerate needs --family")
     if len(config.n_values) != 1 or len(config.k_values) != 1:
@@ -336,7 +318,7 @@ def cmd_enumerate(config: RunConfig) -> int:
     return 0
 
 
-def _families(config: RunConfig, selector: str) -> tuple:
+def _families(config: argparse.Namespace, selector: str) -> tuple:
     """The families a sweep of `selector` runs through, innermost."""
     if selector not in _FAMILY_RULES:
         if config.family is not None:
@@ -354,7 +336,7 @@ def _families(config: RunConfig, selector: str) -> tuple:
     return (config.family,)
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: argparse.Namespace) -> int:
     """verify and audit: one report per (n, k, family); 1 if any fails."""
     selector = config.theorem or config.audit
     kind = "verify" if config.theorem else selector
@@ -415,36 +397,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args) -> argparse.Namespace:
+    """`args`, checked, with the swept values, the worker count and the
+    selectors filled in."""
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
-    theorem = getattr(args, "theorem", None)
+    args.theorem = getattr(args, "theorem", None)
+    args.audit = getattr(args, "selector", None)
     if args.generator_step is not None and not (
-            theorem == "thm1.1-2"
-            or (theorem == "orbit-poly" and args.family == "classicalBC")):
+            args.theorem == "thm1.1-2"
+            or (args.theorem == "orbit-poly" and args.family == "classicalBC")):
         raise UsageError("--generator-step applies to verify --theorem "
                          "thm1.1-2 and orbit-poly --family classicalBC only")
-    if args.variant is not None and theorem != "thm1.1-2":
+    if args.variant is not None and args.theorem != "thm1.1-2":
         raise UsageError("--variant applies to verify --theorem thm1.1-2 only")
     if args.limit is not None and args.command != "enumerate":
         raise UsageError("--limit applies to enumerate only")
     if args.exploratory and args.command == "enumerate":
         raise UsageError("--exploratory applies to verify and audit only")
-    return RunConfig(
-        command=args.command,
-        family=args.family,
-        n_values=_parse_span(args.n, args.n_range, "n"),
-        k_values=_parse_span(args.k, args.k_range, "k"),
-        theorem=theorem,
-        audit=getattr(args, "selector", None),
-        variant=args.variant,
-        generator_step=args.generator_step,
-        fmt=args.fmt,
-        workers=_resolve_workers(args.workers),
-        out=args.out,
-        exploratory=args.exploratory,
-        limit=args.limit,
-    )
+    args.n_values = _parse_span(args.n, args.n_range, "n")
+    args.k_values = _parse_span(args.k, args.k_range, "k")
+    args.workers = _resolve_workers(args.workers)
+    return args
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,9 @@ from .polygons import (
     weighted_assignment_sum,
 )
 from .qseries import IntLaurentPoly, ZERO as Q_ZERO
-from .symfunc import as_point, homog_eval, ones_point, schur_eval
+from .symfunc import (
+    as_point, character_A, character_C, character_D, ones_point,
+)
 
 
 def _exact(x):
@@ -835,14 +837,14 @@ def check_basis_A(n: int, k: int) -> BasisReport:
     """Monomials of k-edge multidissections against the rectangle Schur
     dimension."""
     return _basis_report(
-        "A", n, k, lambda ones: schur_eval((k, k), ones).constant_value())
+        "A", n, k, lambda ones: character_A(k, ones).constant_value())
 
 
 def check_basis_C(n: int, k: int) -> BasisReport:
     """Monomials of the centrally symmetric family against the square of
     the one-row dimension."""
     return _basis_report(
-        "C", n, k, lambda ones: homog_eval(k, ones).constant_value() ** 2)
+        "C", n, k, lambda ones: character_C(k, ones, ones).constant_value())
 
 
 @keep_last
@@ -864,12 +866,8 @@ def _d_degrees(n: int) -> list[int]:
 
 
 def expected_dim_D(n: int, k: int) -> int:
-    """Graded dimension via the weighted Schur sum."""
-    total = 0
-    for ell in range(k // 2 + 1):
-        s = schur_eval((k - ell, ell), ones_point(n)).constant_value()
-        total += (k - 2 * ell + 1) * s
-    return total
+    """Graded dimension: `character_D` at all-ones."""
+    return character_D(k, ones_point(n), ones_point(2)).constant_value()
 
 
 @dataclass(frozen=True)
@@ -941,27 +939,32 @@ def check_conjecture_D(n: int, k: int) -> ConjectureReport:
 # ---------------------------------------------------------------------------
 
 
+def _chord_sum(point, weights, k: int) -> IntLaurentPoly:
+    """The sum over the multidissections of the len(point)-gon with
+    weighted edge count k, by per-edge `weights`, of the products of
+    (p_i p_j)^m over their edges (i, j) with multiplicity m, taken by
+    `weighted_assignment_sum` without listing the objects."""
+    table = edge_table("A", len(point))
+    values = [point[e.i - 1] * point[e.j - 1] for e in table.edges]
+    return Q_ZERO + weighted_assignment_sum(weights, k, table.crosses,
+                                            values)
+
+
 def character_sum_A(n: int, k: int, y) -> IntLaurentPoly:
-    """The weight sum over k-edge multidissections of the n-gon: the sum
-    of the products of (y_i y_j)^m over their edges (i, j) with
-    multiplicity m, taken by `weighted_assignment_sum` without listing
-    the objects."""
+    """The weight sum over k-edge multidissections of the n-gon at the
+    point y."""
     ys = as_point(y)
     if len(ys) != n:
         raise ValueError("expected %d values" % n)
     if k < 0:
         raise ValueError("edge count must be >= 0")
-    table = edge_table("A", n)
-    values = [ys[e.i - 1] * ys[e.j - 1] for e in table.edges]
-    return Q_ZERO + weighted_assignment_sum(table.weights, k, table.crosses,
-                                            values)
+    return _chord_sum(ys, edge_table("A", n).weights, k)
 
 
 def character_check_A(n: int, k: int, y) -> bool:
-    """Weight sum over k-edge multidissections against the rectangle
-    Schur value; the monomials form a weight basis, so the sum is the
-    diagonal character."""
-    return character_sum_A(n, k, y) == schur_eval((k, k), as_point(y))
+    """Weight sum over k-edge multidissections against `character_A`; the
+    monomials form a weight basis, so the sum is the diagonal character."""
+    return character_sum_A(n, k, y) == character_A(k, y)
 
 
 def character_sum_D(n: int, k: int, y, z) -> IntLaurentPoly:
@@ -975,20 +978,10 @@ def character_sum_D(n: int, k: int, y, z) -> IntLaurentPoly:
         raise ValueError("expected %d + 2 values" % n)
     if k < 0:
         raise ValueError("edge count must be >= 0")
-    table = edge_table("A", n + 2)
-    point = ys + zs
-    values = [point[e.i - 1] * point[e.j - 1] for e in table.edges]
-    return Q_ZERO + weighted_assignment_sum(_d_degrees(n), k, table.crosses,
-                                            values)
+    return _chord_sum(ys + zs, _d_degrees(n), k)
 
 
 def character_check_D(n: int, k: int, y, z) -> bool:
-    """Weight sum over the reference basis index set against the
-    two-factor character sum."""
-    total = character_sum_D(n, k, y, z)
-    ys, zs = as_point(y), as_point(z)
-    expected = Q_ZERO
-    for ell in range(k // 2 + 1):
-        expected = expected + schur_eval((k - ell, ell), ys) * \
-            homog_eval(k - 2 * ell, zs)
-    return total == expected
+    """Weight sum over the reference basis index set against
+    `character_D`."""
+    return character_sum_D(n, k, y, z) == character_D(k, y, z)

@@ -315,7 +315,11 @@ class Multidissection:
         return dict(self.items())
 
     def multiplicity(self, e) -> int:
-        return self.support.get(e, 0)
+        """The multiplicity of e, which must be an edge of this object's
+        table."""
+        check_edge(self.family, e, self.n)
+        i = edge_table(self.family, self.n).index[e]
+        return next((m for j, m in self._items if j == i), 0)
 
     def index_items(self) -> tuple:
         """Support as (edge index, multiplicity) pairs in canonical order."""

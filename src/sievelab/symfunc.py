@@ -5,7 +5,9 @@ Evaluation points are short lists of exact Laurent polynomials in q
 arithmetic.  Schur functions are restricted to two-row shapes and
 evaluated by the Jacobi-Trudi determinant in the complete homogeneous
 functions, s_(a,b) = h_a h_b - h_(a+1) h_(b-1).  The tests compare it
-with a sum over semistandard tableaux.
+with a sum over semistandard tableaux.  Each family's character is one
+function here; the sieving polynomials and the basis dimensions both
+read it.
 """
 
 from __future__ import annotations
@@ -68,46 +70,68 @@ def schur_eval(shape, point) -> IntLaurentPoly:
     return det
 
 
-def build_X_typeA(n: int, k: int) -> IntLaurentPoly:
-    """Sieving polynomial for k-edge multidissections of the n-gon under
-    rotation: the rectangle Schur principal specialization shifted down
-    by q^k.  The shift always lands in genuine polynomials."""
-    if n < 3:
-        raise ValueError("type A needs n >= 3")
+def _check_edge_count(k: int):
     if k < 0:
         raise ValueError("edge count must be >= 0")
-    p = schur_eval((k, k), principal_point(n)).shift(-k)
+
+
+# Each family's character: the weight sum of the span of its degree-k
+# cluster monomials.  At a principal point it is the family's sieving
+# polynomial (up to a shift), and at all-ones its basis dimension.
+
+
+def character_A(k: int, y) -> IntLaurentPoly:
+    """Family A's character, the rectangle Schur function s_(k,k)(y)."""
+    _check_edge_count(k)
+    return schur_eval((k, k), y)
+
+
+def character_C(k: int, y, z) -> IntLaurentPoly:
+    """Family C's character, the product h_k(y) h_k(z)."""
+    _check_edge_count(k)
+    return homog_eval(k, y) * homog_eval(k, z)
+
+
+def character_D(k: int, y, z) -> IntLaurentPoly:
+    """Family D's character, the sum over 0 <= l <= k/2 of
+    s_(k-l,l)(y) h_(k-2l)(z)."""
+    _check_edge_count(k)
+    ys, zs = as_point(y), as_point(z)
+    total = ZERO
+    for ell in range(k // 2 + 1):
+        total = total + schur_eval((k - ell, ell), ys) * \
+            homog_eval(k - 2 * ell, zs)
+    return total
+
+
+def build_X_typeA(n: int, k: int) -> IntLaurentPoly:
+    """Sieving polynomial for k-edge multidissections of the n-gon under
+    rotation: `character_A` at (1, q, ..., q^(n-1)) shifted down by q^k.
+    The shift always lands in genuine polynomials."""
+    if n < 3:
+        raise ValueError("type A needs n >= 3")
+    p = character_A(k, principal_point(n)).shift(-k)
     if not p.is_zero() and p.valuation() < 0:
         raise ArithmeticError("specialization produced negative exponents")
     return p
 
 
 def build_X_typeC(n: int, k: int) -> IntLaurentPoly:
-    """Sieving polynomial for the centrally symmetric family: the square
-    of h_k at (1, q, ..., q^(n-1))."""
+    """Sieving polynomial for the centrally symmetric family:
+    `character_C` with both points (1, q, ..., q^(n-1))."""
     if n < 2:
         raise ValueError("type C needs n >= 2")
-    if k < 0:
-        raise ValueError("edge count must be >= 0")
-    h = homog_eval(k, principal_point(n))
-    return h * h
+    point = principal_point(n)
+    return character_C(k, point, point)
 
 
 def build_X_typeD(n: int, k: int) -> IntLaurentPoly:
-    """Sieving polynomial for the colored-diameter family:
-    sum of schur((k-l, l)) at (1, q^2, ..., q^(2(n-1))) times
-    h_(k-2l) at (1, q^n)."""
+    """Sieving polynomial for the colored-diameter family: `character_D`
+    at y = (1, q^2, ..., q^(2(n-1))) and z = (1, q^n)."""
     if n < 1:
         raise ValueError("type D needs n >= 1")
-    if k < 0:
-        raise ValueError("edge count must be >= 0")
-    even_point = principal_point(n, step=2)
-    small_point = as_point([1, IntLaurentPoly.monomial(n)])
-    total = ZERO
-    for ell in range(k // 2 + 1):
-        total = total + schur_eval((k - ell, ell), even_point) * \
-            homog_eval(k - 2 * ell, small_point)
-    return total
+    return character_D(k, principal_point(n, step=2),
+                       (ONE, IntLaurentPoly.monomial(n)))
 
 
 def _qbinom_or_zero(m: int, r: int) -> IntLaurentPoly:

@@ -62,7 +62,10 @@ from sievelab.polygons import (
     enumerate_multidissections,
 )
 from sievelab.qseries import IntLaurentPoly
-from sievelab.symfunc import as_point, ones_point, principal_point, schur_eval
+from sievelab.symfunc import (
+    as_point, character_A, character_C, character_D, ones_point,
+    principal_point, schur_eval,
+)
 from sievelab.tableaux import enumerate_ssyt
 
 
@@ -953,6 +956,27 @@ def test_expected_dim_D():
                 schur_eval((k - l, l), ones_point(n)).evaluate(1)
                 for l in range(0, k // 2 + 1))
             assert expected_dim_D(n, k) == want
+
+
+def test_expected_dim_D_rejects_negative_k():
+    with pytest.raises(ValueError, match="edge count must be >= 0"):
+        expected_dim_D(3, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_characters_at_all_ones_count_the_listings(n):
+    # the identity half of the trace audit: each family's character at
+    # all-ones is the number of its multidissections
+    for k in range(0, 4):
+        if n >= 3:
+            assert character_A(k, ones_point(n)).constant_value() == \
+                len(enumerate_multidissections("A", n, k))
+        if n >= 2:
+            assert character_C(k, ones_point(n), ones_point(n)) \
+                .constant_value() == len(enumerate_multidissections("C", n, k))
+        d = character_D(k, ones_point(n), ones_point(2)).constant_value()
+        assert d == len(enumerate_multidissections("D", n, k))
+        assert d == len(lemma_basis_multidissections(n, k))
 
 
 def test_lemma_basis_multidissections():

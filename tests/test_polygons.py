@@ -385,6 +385,17 @@ def test_non_integer_multiplicity_rejected(family, n, support):
         Multidissection(family, n, support)
 
 
+def test_multiplicity_reads_the_support_and_rejects_foreign_edges():
+    md = Multidissection("A", 5, {AEdge(1, 3): 2, AEdge(3, 5): 1})
+    assert md.multiplicity(AEdge(1, 3)) == 2
+    assert md.multiplicity(AEdge(3, 5)) == 1
+    assert md.multiplicity(AEdge(2, 4)) == 0  # an edge of the table, unused
+    # an edge outside the object's table is an error, as in the constructor
+    for e in (AEdge(1, 9), CDiameter(1)):
+        with pytest.raises(ValueError, match="not valid for family A, n=5"):
+            md.multiplicity(e)
+
+
 def test_multidissection_weighted_count_and_key():
     md = Multidissection("D", 3, {DPairSeg(1, 3): 1, DDiameter(1, SOLID): 2})
     assert md.edge_count() == 4

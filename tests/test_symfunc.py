@@ -10,6 +10,9 @@ from sievelab.symfunc import (
     build_X_typeA,
     build_X_typeC,
     build_X_typeD,
+    character_A,
+    character_C,
+    character_D,
     homog_eval,
     ones_point,
     principal_point,
@@ -140,6 +143,29 @@ def test_build_X_typeD_structure():
     for l in range(0, k // 2 + 1):
         want = want + schur_eval((k - l, l), small) * homog_eval(k - 2 * l, big)
     assert build_X_typeD(n, k) == want
+
+
+def test_characters_reject_negative_k():
+    for call in (lambda: character_A(-1, ones_point(3)),
+                 lambda: character_C(-1, ones_point(3), ones_point(3)),
+                 lambda: character_D(-1, ones_point(3), ones_point(2)),
+                 lambda: build_X_typeA(4, -1),
+                 lambda: build_X_typeC(4, -1),
+                 lambda: build_X_typeD(4, -1)):
+        with pytest.raises(ValueError, match="edge count must be >= 0"):
+            call()
+
+
+def test_characters_match_their_formulas():
+    # each character against its formula at a point with distinct values
+    y = as_point([2, 3, 5])
+    z = (IntLaurentPoly({-1: 2}), Q)
+    for k in range(0, 5):
+        assert character_A(k, y) == brute_schur((k, k), y, 3)
+        assert character_C(k, y, z) == brute_homog(k, y) * brute_homog(k, z)
+        assert character_D(k, y, z) == sum(
+            (brute_schur((k - l, l), y, 3) * brute_homog(k - 2 * l, z)
+             for l in range(k // 2 + 1)), ZERO)
 
 
 def test_thm11_part1():
