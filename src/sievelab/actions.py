@@ -20,6 +20,7 @@ symmetric family.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from math import gcd
 
 from .polygons import (
@@ -78,11 +79,17 @@ def rotation_edge_map(family: str, n: int, d: int,
     return tuple((e, edges[j]) for e, j in zip(edges, perm))
 
 
+def _permuted(perm: tuple, items: tuple) -> tuple:
+    """Sorted (edge index, multiplicity) pairs moved by the edge
+    permutation `perm`; perm fixes the objects it gives back unchanged."""
+    return tuple(sorted((perm[i], m) for i, m in items))
+
+
 def rotate_multidissection(md: Multidissection, d: int = 1,
                            generator_step: int | None = None) -> Multidissection:
     perm = _permutation(md.family, md.n, d, generator_step)
     return Multidissection._from_items(
-        md.family, md.n, tuple(sorted((perm[i], m) for i, m in md.index_items())))
+        md.family, md.n, _permuted(perm, md.index_items()))
 
 
 def is_fixed(md: Multidissection, d: int,
@@ -114,8 +121,9 @@ def _prime_factors(m: int) -> list[int]:
     return primes
 
 
+@lru_cache(maxsize=1)
 def orbit_sizes(family: str, n: int, k: int,
-                generator_step: int | None = None) -> list[int]:
+                generator_step: int | None = None) -> tuple[int, ...]:
     """Orbit size of every k-edge multidissection, in enumeration order.
 
     An orbit size divides the generator's exact order N.  Starting from
@@ -123,7 +131,8 @@ def orbit_sizes(family: str, n: int, k: int,
     fixes the object, which leaves the least power that fixes it: one
     rotate-and-sort per prime factor of N for an object with a full
     orbit.  generator^d fixes an object exactly when its orbit size
-    divides d."""
+    divides d.  The last census is kept, so a task's polynomial and its
+    fixed counts share one pass; the listing goes when the pass ends."""
     order = action_order(family, n, generator_step)
     primes = _prime_factors(order)
     powers = {d: _permutation(family, n, d, generator_step)
@@ -134,12 +143,11 @@ def orbit_sizes(family: str, n: int, k: int,
         size = order
         for p in primes:
             while size % p == 0:
-                perm = powers[size // p]
-                if tuple(sorted((perm[i], m) for i, m in items)) != items:
+                if _permuted(powers[size // p], items) != items:
                     break
                 size //= p
         sizes.append(size)
-    return sizes
+    return tuple(sizes)
 
 
 def fixed_counts(sizes, order: int) -> list[int]:
@@ -341,9 +349,10 @@ def unfold(n: int, d: int, g: Multidissection) -> Multidissection:
 
 def invariant_multidissections(family: str, n: int, k: int, d: int,
                                generator_step: int | None = None) -> list[Multidissection]:
-    sizes = orbit_sizes(family, n, k, generator_step)
-    return [md for md, s in zip(enumerate_multidissections(family, n, k), sizes)
-            if d % s == 0]
+    """The k-edge multidissections that generator^d fixes, listed once."""
+    perm = _permutation(family, n, d, generator_step)
+    return [md for md in enumerate_multidissections(family, n, k)
+            if _permuted(perm, md.index_items()) == md.index_items()]
 
 
 def odd_power_correspondence(n: int, d: int, k: int) -> list[tuple[Multidissection, Multidissection]]:

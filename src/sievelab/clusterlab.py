@@ -21,7 +21,7 @@ from .actions import resolve_step, rotate_multidissection
 from .polygons import (
     DIAMETER, EDGE, INTEGRATED, SEGREGATED, SOLID,
     Multidissection, _base_bc, edge_table,
-    enumerate_multidissections, iter_weighted_assignments, keep_last,
+    enumerate_multidissections, iter_weighted_assignments,
     weighted_assignment_sum,
 )
 from .qseries import IntLaurentPoly, ZERO as Q_ZERO
@@ -847,12 +847,9 @@ def check_basis_C(n: int, k: int) -> BasisReport:
         "C", n, k, lambda ones: character_C(k, ones, ones).constant_value())
 
 
-@keep_last
 def lemma_basis_multidissections(n: int, k: int) -> tuple:
     """A-multidissections of the (n+2)-gon avoiding the edge (n+1, n+2)
-    whose endpoint count inside 1..n, with multiplicity, is exactly k.
-    The last result is kept, so the conjecture audit, which reads the
-    list twice, enumerates once."""
+    whose endpoint count inside 1..n, with multiplicity, is exactly k."""
     table = edge_table("A", n + 2)
     return tuple(Multidissection._from_items("A", n + 2, items)
                  for items in iter_weighted_assignments(
@@ -867,6 +864,8 @@ def _d_degrees(n: int) -> list[int]:
 
 def expected_dim_D(n: int, k: int) -> int:
     """Graded dimension: `character_D` at all-ones."""
+    if n < 1:
+        raise ValueError("family D needs n >= 1")
     return character_D(k, ones_point(n), ones_point(2)).constant_value()
 
 
@@ -910,14 +909,15 @@ def check_conjecture_D(n: int, k: int) -> ConjectureReport:
     max_deg = max(p.total_degree() for p in basis_d)
     top = j_generator(n)
     basis_j = []
-    for g in lemma_basis_multidissections(n, k):
+    lemma_basis = lemma_basis_multidissections(n, k)
+    for g in lemma_basis:
         base = z_A(g)
         total_mult = sum(m for _, m in g.items())
         j = 1
         while 2 * (total_mult + j) <= max_deg:
             basis_j.append(base * top ** j)
             j += 1
-    lemma_count = len(lemma_basis_multidissections(n, k))
+    lemma_count = len(lemma_basis)
     expected = expected_dim_D(n, k)
     combined_rank = rank(basis_j + basis_d)
     independent = combined_rank == len(basis_j) + len(basis_d)

@@ -204,17 +204,20 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
     half_counts = fixed_counts([] if k % 2 else orbit_sizes("C", n, k // 2),
                                2 * n)
     entries = []
+    targets: dict[int, int] = {}  # fold target parameter -> its count
     for d in range(1, 2 * n + 1):
         if (2 * n) % d:
             continue
         fixed = counts[d]
         if d % 2 == 0:
             p = fold_target_param(n, d)
-            scaled = k * d // n if n % d == 0 else k * d // (2 * n)
-            exact = k * d % n == 0 if n % d == 0 else k * d % (2 * n) == 0
-            expected = len(enumerate_multidissections("D", p, scaled)) if exact else 0
+            scaled, rest = divmod(k * p, n)
+            if not rest and p not in targets:
+                targets[p] = len(enumerate_multidissections("D", p, scaled))
+            expected = 0 if rest else targets[p]
             entries.append(FoldingEntry(d, "even", fixed, expected,
-                                        fixed == expected, p, scaled if exact else None))
+                                        fixed == expected, p,
+                                        None if rest else scaled))
         else:
             expected = half_counts[d]
             entries.append(FoldingEntry(d, "odd", fixed, expected,

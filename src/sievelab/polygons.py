@@ -26,7 +26,7 @@ supports without listing them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -456,49 +456,15 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
     return rec(0, target, 0)
 
 
-def keep_last(build):
-    """`build` with its last result kept, as `lru_cache(maxsize=1)` keeps
-    it, with the same hits and misses; but a miss drops the kept result
-    before it builds the new one, so the cache never holds two.
-    `cache_info()` is the tuple (hits, misses, maxsize, currsize)."""
-    last: dict = {}  # at most one entry, args -> result
-    calls = [0, 0]  # hits, misses
-
-    @wraps(build)
-    def cached(*args):
-        if args in last:
-            calls[0] += 1
-            return last[args]
-        calls[1] += 1
-        last.clear()
-        result = last[args] = build(*args)
-        return result
-
-    def cache_clear():
-        last.clear()
-        calls[:] = [0, 0]
-
-    cached.cache_info = lambda: (*calls, 1, len(last))
-    cached.cache_clear = cache_clear
-    return cached
-
-
-@keep_last
-def _enumerate_cached(family: str, n: int, k: int) -> tuple:
-    """The last enumeration is kept, so `invariant_multidissections` right
-    after `orbit_sizes` enumerates once."""
-    table = edge_table(family, n)
-    max_mult = 1 if is_classical(family) else None
-    return tuple(Multidissection._from_items(family, n, items)
-                 for items in iter_weighted_assignments(
-                     table.weights, k, table.crosses, max_mult))
-
-
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:
     """All k-edge multidissections of the family, in a deterministic order."""
     if k < 0:
         raise ValueError("edge count must be >= 0")
-    return list(_enumerate_cached(family, n, k))
+    table = edge_table(family, n)
+    max_mult = 1 if is_classical(family) else None
+    return [Multidissection._from_items(family, n, items)
+            for items in iter_weighted_assignments(
+                table.weights, k, table.crosses, max_mult)]
 
 
 def enumerate_classical(family: str, n: int, k: int) -> list[Multidissection]:

@@ -283,8 +283,15 @@ def test_count_fixed_matches_reference_filter(family, n, step):
 def test_orbit_sizes_match_orbit_walk(family, n, step):
     # the stabilizer tests find the same orbit size as walking the orbit
     for k in range(0, 5):
-        assert orbit_sizes(family, n, k, step) == \
+        assert list(orbit_sizes(family, n, k, step)) == \
             reference_orbit_sizes(family, n, k, step), k
+
+
+def test_orbit_sizes_is_a_kept_tuple():
+    # the kept census cannot be changed through its result
+    sizes = orbit_sizes("A", 6, 3)
+    assert type(sizes) is tuple
+    assert orbit_sizes("A", 6, 3) is sizes
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,7 +374,9 @@ def test_invariant_multidissections_consistency():
             assert is_fixed(md, d) == (md in inv)
 
 
-def test_orbit_sizes_then_invariants_list_once(monkeypatch):
+@pytest.mark.parametrize("family,n,step", list(family_cases(3)))
+def test_invariants_list_once_and_match_orbit_sizes(monkeypatch, family,
+                                                    n, step):
     import sievelab.polygons as polygons
 
     real = polygons.iter_weighted_assignments
@@ -377,13 +386,21 @@ def test_orbit_sizes_then_invariants_list_once(monkeypatch):
         builds.append(args[1])
         return real(*args)
 
-    polygons._enumerate_cached.cache_clear()
+    # the orbit-size filter, listed before the spy goes in
+    wanted = {}
+    for k in range(0, 4):
+        listing = enumerate_multidissections(family, n, k)
+        sizes = orbit_sizes(family, n, k, step)
+        for d in range(0, declared_group_order(family, n) + 1):
+            wanted[k, d] = [md for md, s in zip(listing, sizes) if d % s == 0]
     monkeypatch.setattr(polygons, "iter_weighted_assignments", build)
-    sizes = orbit_sizes("A", 6, 3)
-    inv = invariant_multidissections("A", 6, 3, 2)
-    assert builds == [3]
-    assert polygons._enumerate_cached.cache_info()[:2] == (2, 1)
-    assert len(inv) == sum(2 % s == 0 for s in sizes) > 0
+    for (k, d), want in wanted.items():
+        builds.clear()
+        assert invariant_multidissections(family, n, k, d, step) == want
+        assert builds == [k], (k, d)
+    # a negative power is rejected, as by is_fixed
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        invariant_multidissections(family, n, 1, -1, step)
 
 
 # --- folding ------------------------------------------------------------------

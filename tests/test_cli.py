@@ -195,7 +195,7 @@ def test_audit_characters_lists_no_objects(capsys, monkeypatch):
 
     for module in (cli, clusterlab, polygons):
         for name in ("enumerate_multidissections",
-                     "lemma_basis_multidissections", "_enumerate_cached",
+                     "lemma_basis_multidissections",
                      "iter_weighted_assignments"):
             monkeypatch.setattr(module, name, fail, raising=False)
     code, out = run(capsys, ["audit", "characters", "--n", "6", "--k", "3"])

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab import clusterlab, polygons
-from sievelab.actions import rotate_multidissection
+from sievelab import clusterlab
+from sievelab.actions import orbit_sizes, rotate_multidissection
 from sievelab.clusterlab import (
     GR_HALF,
     GR_I,
@@ -47,6 +47,7 @@ from sievelab.clusterlab import (
     z_D,
 )
 from sievelab.clusterlab import _PRIME, _SQRT_M1, _rank_mod_p
+from sievelab.cspverify import theorem_instance, verify
 from sievelab.polygons import (
     DOTTED,
     FAMILIES,
@@ -963,6 +964,13 @@ def test_expected_dim_D_rejects_negative_k():
         expected_dim_D(3, -1)
 
 
+@pytest.mark.parametrize("n,k", [(0, 0), (0, 1), (-1, 1)])
+def test_expected_dim_D_rejects_n_below_one(n, k):
+    # family D needs n >= 1, as its edge table says
+    with pytest.raises(ValueError, match="family D needs n >= 1"):
+        expected_dim_D(n, k)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_characters_at_all_ones_count_the_listings(n):
     # the identity half of the trace audit: each family's character at
@@ -1230,28 +1238,18 @@ def held_objects(family, n):
                and o.n == n for o in gc.get_objects())
 
 
-@pytest.mark.parametrize("module,name,first,second,held", [
-    (polygons, "_enumerate_cached", ("C", 4, 3), ("C", 5, 3), ("C", 4)),
-    (clusterlab, "lemma_basis_multidissections", (3, 2), (4, 2), ("A", 5)),
-])
-def test_kept_listing_is_dropped_before_the_next_is_built(
-        monkeypatch, module, name, first, second, held):
-    cached = getattr(module, name)
-    real = module.iter_weighted_assignments
-    held_at_build = []
-
-    def build(*args):
-        held_at_build.append(held_objects(*held))
-        return real(*args)
-
-    cached.cache_clear()
-    before = held_objects(*held)
-    monkeypatch.setattr(module, "iter_weighted_assignments", build)
-    assert len(cached(*first)) > 0
-    assert held_objects(*held) > before  # the kept listing
-    cached(*second)
-    assert held_at_build == [before, before]
-    assert cached.cache_info() == (0, 2, 1, 1)
+@pytest.mark.parametrize("call,held", [
+    (lambda: enumerate_multidissections("C", 4, 3), [("C", 4)]),
+    (lambda: verify(theorem_instance("thm3.4", 4, 3)), [("C", 4)]),
+    (lambda: check_basis_A(5, 3), [("A", 5)]),
+    (lambda: check_conjecture_D(3, 2), [("D", 3), ("A", 5)]),
+], ids=["enumerate", "verify", "basis-A", "conjecture-D"])
+def test_no_listing_outlives_its_call(call, held):
+    # nothing keeps a listing once its caller returns; only the
+    # orbit-size census is kept, so verify lists again after a clear
+    orbit_sizes.cache_clear()
+    call()
+    assert [held_objects(*h) for h in held] == [0] * len(held)
 
 
 def test_conjecture_audit_lists_the_lemma_basis_once(monkeypatch):
@@ -1262,7 +1260,6 @@ def test_conjecture_audit_lists_the_lemma_basis_once(monkeypatch):
         builds.append(args[1])
         return real(*args)
 
-    clusterlab.lemma_basis_multidissections.cache_clear()
     monkeypatch.setattr(clusterlab, "iter_weighted_assignments", build)
     assert check_conjecture_D(3, 2).passed
     assert builds == [2]

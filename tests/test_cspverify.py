@@ -119,6 +119,30 @@ def test_orbit_polynomial_always_sieves(family, n_range, k_range):
             assert rep.csp_holds, (family, n, k)
 
 
+@pytest.mark.parametrize("family,step", [
+    ("A", None), ("C", None), ("D", None), ("classicalA", None),
+    ("classicalBC", 1), ("classicalBC", 2), ("classicalD", None),
+])
+def test_orbit_poly_task_runs_one_stabilizer_pass(monkeypatch, family, step):
+    # the polynomial and the fixed counts read one kept census; each
+    # stabilizer pass factors the generator's order once
+    import sievelab.actions as actions
+
+    real = actions._prime_factors
+    passes = []
+
+    def spy(m):
+        passes.append(m)
+        return real(m)
+
+    actions.orbit_sizes.cache_clear()
+    monkeypatch.setattr(actions, "_prime_factors", spy)
+    rep = verify(theorem_instance("orbit-poly", 4, 3, generator_step=step,
+                                  family=family))
+    assert rep.csp_holds
+    assert len(passes) == 1
+
+
 def test_theorem_instance_validation():
     with pytest.raises(ValueError):
         theorem_instance("nope", 3, 1)
@@ -177,6 +201,31 @@ def test_folding_non_integer_weight_case():
     entry = [e for e in rep.entries if e.d == 2][0]
     assert entry.fixed == 0 and entry.expected == 0
     assert entry.target_k is None
+
+
+def test_folding_lists_each_fold_target_once(monkeypatch):
+    # at n = 6 the powers 2 and 4 fold onto p = 2, and 6 and 12 onto p = 6
+    import sievelab.cspverify as cspverify
+
+    real = cspverify.enumerate_multidissections
+    listed = []
+
+    def spy(*args):
+        listed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cspverify, "enumerate_multidissections", spy)
+    repeated = 0
+    for n in range(2, 7):
+        for k in range(0, 5):
+            listed.clear()
+            rep = verify_folding_consistency(n, k)
+            assert rep.passed, (n, k)
+            targets = [("D", e.target_param, e.target_k) for e in rep.entries
+                       if e.target_k is not None]
+            assert sorted(listed) == sorted(set(targets)), (n, k)
+            repeated += len(targets) - len(set(targets))
+    assert repeated > 0
 
 
 # --- principal specialization at roots ------------------------------------------

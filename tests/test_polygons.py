@@ -1,8 +1,6 @@
 """Edge universes, crossing rules, and multidissection enumeration."""
 
 import math
-import weakref
-from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -31,7 +29,6 @@ from sievelab.polygons import (
     enumerate_classical,
     enumerate_multidissections,
     iter_weighted_assignments,
-    keep_last,
     min_n,
     polygon_size,
     weighted_assignment_sum,
@@ -569,50 +566,6 @@ def test_listing_is_a_fresh_list():
     assert type(first) is list and first is not second and first == second
     first.clear()
     assert enumerate_multidissections("A", 5, 2) == second
-
-
-def test_keep_last_counts_like_lru_cache():
-    kept = keep_last(lambda x: [x])
-    lru = lru_cache(maxsize=1)(lambda x: [x])
-    for x in (1, 1, 2, 1, 1, 3):
-        assert kept(x) == lru(x)
-        assert kept.cache_info() == tuple(lru.cache_info())
-    kept.cache_clear()
-    assert kept.cache_info() == (0, 0, 1, 0)
-
-
-def test_keep_last_drops_its_result_before_building_the_next():
-    class Result:
-        pass
-
-    built = []
-    alive_at_build = []
-
-    def build(x):
-        alive_at_build.append([ref() is not None for ref in built])
-        result = Result()
-        built.append(weakref.ref(result))
-        return result
-
-    kept = keep_last(build)
-    assert kept(1) is kept(1)
-    kept(2)
-    assert alive_at_build == [[], [False]]
-    assert built[1]() is not None
-
-
-def test_keep_last_keeps_nothing_after_a_failed_build():
-    def build(x):
-        if x < 0:
-            raise ValueError(x)
-        return [x]
-
-    kept = keep_last(build)
-    kept(1)
-    with pytest.raises(ValueError):
-        kept(-1)
-    assert kept.cache_info() == (0, 2, 1, 0)
-    assert kept(1) == [1] and kept.cache_info() == (0, 3, 1, 1)
 
 
 # --- oracle for the objects built without validation ------------------------
