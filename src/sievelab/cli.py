@@ -54,18 +54,6 @@ def _parse_span(single, span, flag):
     raise UsageError("missing --%s or --%s-range" % (flag, flag))
 
 
-def _resolve_workers(flag_value: int) -> int:
-    env = os.environ.get("SIEVE_LAB_WORKERS")
-    if env is not None:
-        try:
-            flag_value = int(env)
-        except ValueError:
-            raise UsageError("SIEVE_LAB_WORKERS must be an integer")
-    if flag_value < 1:
-        raise UsageError("worker count must be >= 1")
-    return flag_value
-
-
 # ---------------------------------------------------------------------------
 # Task execution (top-level functions so worker pools can pickle them)
 # ---------------------------------------------------------------------------
@@ -398,8 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> argparse.Namespace:
-    """`args`, checked, with the swept values, the worker count and the
-    selectors filled in."""
+    """`args`, checked, with the swept values and the selectors filled
+    in."""
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
     args.theorem = getattr(args, "theorem", None)
@@ -417,7 +405,8 @@ def _config_from_args(args) -> argparse.Namespace:
         raise UsageError("--exploratory applies to verify and audit only")
     args.n_values = _parse_span(args.n, args.n_range, "n")
     args.k_values = _parse_span(args.k, args.k_range, "k")
-    args.workers = _resolve_workers(args.workers)
+    if args.workers < 1:
+        raise UsageError("worker count must be >= 1")
     return args
 
 

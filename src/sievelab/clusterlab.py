@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Iterable
 
@@ -528,13 +527,6 @@ _PRIME = 1073741789
 _SQRT_M1 = 140687844
 
 
-def _columns(polys: tuple) -> dict:
-    """Column of every monomial, numbered in increasing monomial order,
-    so that a row's least column is its least monomial."""
-    monos = sorted({m for p in polys for m in p._terms})
-    return {m: i for i, m in enumerate(monos)}
-
-
 def _mod_p(x) -> int | None:
     """An exact rational part reduced mod _PRIME; None when the prime
     divides its denominator."""
@@ -547,11 +539,10 @@ def _mod_p(x) -> int | None:
 
 def _rank_mod_p(polys: tuple) -> int | None:
     """Rank of the coefficient matrix mapped to Z/p, by elimination on
-    plain-int dict rows pivoting on the least monomial; None when a
-    coefficient has no image.  Equal to len(polys) only if some maximal
-    minor is nonzero mod p, hence nonzero over Q(i)."""
+    plain-int dict rows keyed by packed monomial, pivoting on the least
+    one; None when a coefficient has no image.  Equal to len(polys) only
+    if some maximal minor is nonzero mod p, hence nonzero over Q(i)."""
     p, s = _PRIME, _SQRT_M1
-    cols = _columns(polys)
     pivots: dict[int, dict] = {}
     for poly in polys:
         row = {}
@@ -562,16 +553,10 @@ def _rank_mod_p(polys: tuple) -> int | None:
                     return None
             v = (re + s * im) % p
             if v:
-                row[cols[m]] = v
-        # the row's columns as a heap: a reduction pushes each column it
-        # adds, and a popped column that has left the row is skipped, so
-        # the least column is found without a pass over the row
-        heap = list(row)
-        heapify(heap)
+                row[m] = v
         while row:
-            lead = heappop(heap)
-            if lead not in row:
-                continue  # eliminated since it was pushed
+            # the least packed int is the least monomial
+            lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = pow(row[lead], -1, p)
@@ -583,7 +568,6 @@ def _rank_mod_p(polys: tuple) -> int | None:
                 if w is None:
                     # nonzero: p is prime and f, v are nonzero mod p
                     row[k] = -f * v % p
-                    heappush(heap, k)
                     continue
                 w = (w - f * v) % p
                 if w:
@@ -596,23 +580,18 @@ def _rank_mod_p(polys: tuple) -> int | None:
 @lru_cache(maxsize=1)
 def _eliminate(polys: tuple) -> tuple[int, tuple | None]:
     """Exact rank over Q(i) and the first vanishing linear combination
-    found, as sorted (index, coefficient) pairs, or None.  Elimination
-    pivots on the least monomial of each reduced row.  The last result
-    is kept, so rank() and dependency_witness() on the same list
-    eliminate once."""
-    cols = _columns(polys)
+    found, as sorted (index, coefficient) pairs, or None.  Rows are keyed
+    by packed monomial, as in _rank_mod_p, and each reduced row pivots on
+    its least one.  The last result is kept, so rank() and
+    dependency_witness() on the same list eliminate once."""
     pivots: dict[int, tuple[dict, dict | None]] = {}
     witness = None
     for idx, poly in enumerate(polys):
-        row = {cols[m]: GaussRat(*c) for m, c in poly._terms.items()}
+        row = {m: GaussRat(*c) for m, c in poly._terms.items()}
         # combinations are tracked only until the first witness is found
         comb = {idx: GR_ONE} if witness is None else None
-        heap = list(row)  # the row's columns, as in _rank_mod_p
-        heapify(heap)
         while row:
-            lead = heappop(heap)
-            if lead not in row:
-                continue
+            lead = min(row)
             if lead not in pivots:
                 inv = GR_ONE / row[lead]
                 pivots[lead] = ({k: v * inv for k, v in row.items()},
@@ -623,12 +602,10 @@ def _eliminate(polys: tuple) -> tuple[int, tuple | None]:
             f = row[lead]
             for k, v in pivot.items():
                 acc = row.get(k, GR_ZERO) - f * v
-                if not acc:
+                if acc:
+                    row[k] = acc
+                else:
                     del row[k]
-                    continue
-                if k not in row:
-                    heappush(heap, k)
-                row[k] = acc
             if comb is not None:
                 for i, c in pivot_comb.items():
                     acc = comb.get(i, GR_ZERO) - f * c
@@ -818,18 +795,21 @@ class BasisReport:
         return out
 
 
+def _audit_rank(polys: list) -> tuple[int, tuple | None]:
+    """`rank` of an audit's list, and its `dependency_witness` only when
+    the rank falls short of the list."""
+    r = rank(polys)
+    return r, tuple(dependency_witness(polys)) if r < len(polys) else None
+
+
 def _basis_report(family: str, n: int, k: int, dimension) -> BasisReport:
     """The basis audit of (family, n, k) against `dimension(ones_point(n))`,
     taken after the listing has checked n and k."""
     mds = enumerate_multidissections(family, n, k)
     expected = dimension(ones_point(n))
     polys = [cluster_monomial(family, f) for f in mds]
-    r = rank(polys)
+    r, witness = _audit_rank(polys)
     passed = len(polys) == r == expected
-    witness = None
-    if not passed and r < len(polys):
-        w = dependency_witness(polys)
-        witness = tuple(w) if w else None
     return BasisReport(family, n, k, len(polys), r, expected, passed, witness)
 
 
@@ -919,14 +899,11 @@ def check_conjecture_D(n: int, k: int) -> ConjectureReport:
             j += 1
     lemma_count = len(lemma_basis)
     expected = expected_dim_D(n, k)
-    combined_rank = rank(basis_j + basis_d)
-    independent = combined_rank == len(basis_j) + len(basis_d)
+    combined = basis_j + basis_d
+    combined_rank, witness = _audit_rank(combined)
+    independent = combined_rank == len(combined)
     spans = len(basis_d) == lemma_count == expected
     passed = independent and spans
-    witness = None
-    if not independent:
-        w = dependency_witness(basis_j + basis_d)
-        witness = tuple(w) if w else None
     note = ("evidence for n=%d, k=%d only; a pass here is not a proof"
             % (n, k))
     return ConjectureReport(n, k, len(basis_d), combined_rank, expected,
@@ -972,6 +949,8 @@ def character_sum_D(n: int, k: int, y, z) -> IntLaurentPoly:
     `lemma_basis_multidissections(n, k)`: multidissections of the
     (n+2)-gon weighted by d-degree, where vertex i <= n carries y_i and
     vertices n+1, n+2 carry z_1, z_2."""
+    if n < 1:
+        raise ValueError("family D needs n >= 1")
     ys = as_point(y)
     zs = as_point(z)
     if len(ys) != n or len(zs) != 2:

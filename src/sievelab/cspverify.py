@@ -108,16 +108,21 @@ def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
                      generator_step: int | None = None,
                      family: str | None = None) -> CspInstance:
     """Build the verification instance for a named result.  Only
-    thm1.1-2 reads `variant`, and None there means "printed"."""
+    thm1.1-2 reads `variant`, and None there means "printed".  A
+    `generator_step` is passed through, so any family but classicalBC
+    rejects it."""
     if selector == "thm2.5":
-        return CspInstance("A", n, k, build_X_typeA(n, k), n, label=selector)
+        return CspInstance("A", n, k, build_X_typeA(n, k), n,
+                           generator_step=generator_step, label=selector)
     if selector == "thm3.4":
-        return CspInstance("C", n, k, build_X_typeC(n, k), n, label=selector)
+        return CspInstance("C", n, k, build_X_typeC(n, k), n,
+                           generator_step=generator_step, label=selector)
     if selector == "thm4.6":
-        return CspInstance("D", n, k, build_X_typeD(n, k), 2 * n, label=selector)
+        return CspInstance("D", n, k, build_X_typeD(n, k), 2 * n,
+                           generator_step=generator_step, label=selector)
     if selector == "thm1.1-1":
         return CspInstance("classicalA", n, k, build_X_thm11(1, n, k), n,
-                           label=selector)
+                           generator_step=generator_step, label=selector)
     if selector == "thm1.1-2":
         variant = "printed" if variant is None else variant
         return CspInstance("classicalBC", n, k, build_X_thm11(2, n, k, variant),
@@ -125,14 +130,14 @@ def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
                            label=selector)
     if selector == "thm1.1-3":
         return CspInstance("classicalD", n, k, build_X_thm11(3, n, k), 2 * n,
-                           label=selector)
+                           generator_step=generator_step, label=selector)
     if selector == "orbit-poly":
         if family is None:
             raise ValueError("orbit-poly needs an explicit family")
-        step = generator_step if family == "classicalBC" else None
-        return CspInstance(family, n, k, orbit_polynomial(family, n, k, step),
+        return CspInstance(family, n, k,
+                           orbit_polynomial(family, n, k, generator_step),
                            declared_group_order(family, n),
-                           generator_step=step, label=selector)
+                           generator_step=generator_step, label=selector)
     raise ValueError("unknown selector %r (expected one of %s)"
                      % (selector, ", ".join(THEOREM_SELECTORS)))
 
@@ -196,8 +201,8 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
     powers: they match the invariant centrally symmetric multidissections
     with half the edges (none when k is odd).
     """
-    if n < 1:
-        raise ValueError("needs n >= 1")
+    if n < 2:
+        raise ValueError("needs n >= 2")
     counts = fixed_counts(orbit_sizes("D", n, k), 2 * n)
     # odd powers compare with centrally symmetric objects of half the
     # edges, of which there are none at odd k

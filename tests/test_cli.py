@@ -217,6 +217,14 @@ def test_audit_characters_beyond_twelve_primes(capsys):
     assert payload["all_pass"] is True
 
 
+def test_audit_characters_D_below_its_least_n(capsys):
+    code = main(["audit", "characters", "--family", "D", "--n", "0",
+                 "--k", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: family D needs n >= 1\n"
+
+
 def test_audit_folding(capsys):
     code, out = run(capsys, ["audit", "folding", "--n", "3", "--k", "2"])
     assert code == 0
@@ -404,15 +412,18 @@ def test_output_identical_across_worker_counts(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_worker_env_override(tmp_path, capsys, monkeypatch):
+def test_worker_count_comes_from_the_flag_only(tmp_path, capsys, monkeypatch):
+    # no environment variable sets or checks the worker count
     args = ["audit", "basis-A", "--n-range", "3:4", "--k", "1"]
     f1 = tmp_path / "a.json"
     f2 = tmp_path / "b.json"
     assert main(args + ["--out", str(f1)]) == 0
-    monkeypatch.setenv("SIEVE_LAB_WORKERS", "3")
+    monkeypatch.setenv("SIEVE_LAB_WORKERS", "x")
     assert main(args + ["--out", str(f2)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
     assert f1.read_bytes() == f2.read_bytes()
+    assert main(args + ["--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: worker count must be >= 1\n"
 
 
 def _must_not_run(*args):

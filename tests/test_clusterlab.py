@@ -774,6 +774,8 @@ def test_failed_audit_eliminates_once(monkeypatch, family, n, k, check):
     clusterlab._eliminate.cache_clear()
     rep = check(n, k)
     assert not rep.passed and rep.witness is not None
+    # the repeated row cancels against its first copy
+    assert rep.to_json_dict()["witness"] == [[0, "-1"], [len(mds), "1"]]
     assert clusterlab._eliminate.cache_info().misses == 1
 
 
@@ -805,15 +807,21 @@ def test_rank_matches_oracle_property(polys):
         assert total.is_zero()
 
 
-# --- least-column pivoting --------------------------------------------------------
+# --- least-monomial pivoting ------------------------------------------------------
 #
-# Both eliminations keep a heap of each row's columns to find its least
-# one.  These are the versions that scanned the whole row with min() at
-# every reduction step; pivots, ranks and witnesses must not change.
+# Both eliminations key their rows by packed monomial and pivot on the
+# least key.  These references number the monomials as columns first, in
+# increasing monomial order, and pivot on the least column; ranks and
+# witnesses must agree.
+
+def reference_columns(polys):
+    monos = sorted({m for p in polys for m in p._terms})
+    return {m: i for i, m in enumerate(monos)}
+
 
 def reference_rank_mod_p(polys):
     p, s = _PRIME, _SQRT_M1
-    cols = clusterlab._columns(polys)
+    cols = reference_columns(polys)
     pivots = {}
     for poly in polys:
         row = {}
@@ -842,7 +850,7 @@ def reference_rank_mod_p(polys):
 
 
 def reference_eliminate(polys):
-    cols = clusterlab._columns(polys)
+    cols = reference_columns(polys)
     pivots = {}
     witness = None
     for idx, poly in enumerate(polys):
@@ -892,10 +900,16 @@ def test_eliminations_match_min_scan_reference(polys):
     assert clusterlab._eliminate.__wrapped__(polys) == reference_eliminate(polys)
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (3, 2)])
-def test_eliminations_match_min_scan_reference_on_audit_lists(n, k):
-    polys = tuple(z_D(f) for f in enumerate_multidissections("D", n, k))
-    polys += tuple(z_A(f) for f in lemma_basis_multidissections(n, k))
+@pytest.mark.parametrize("family,n,k", [
+    pytest.param("D", 2, 3, id="2-3"), pytest.param("D", 3, 2, id="3-2"),
+    ("A", 6, 3), ("C", 4, 3),
+])
+def test_eliminations_match_min_scan_reference_on_audit_lists(family, n, k):
+    mds = enumerate_multidissections(family, n, k)
+    polys = tuple(cluster_monomial(family, f) for f in mds)
+    if family == "D":
+        # the conjecture-D audit's list: z_D, then the lemma basis under z_A
+        polys += tuple(z_A(f) for f in lemma_basis_multidissections(n, k))
     assert clusterlab._rank_mod_p(polys) == reference_rank_mod_p(polys)
     assert clusterlab._eliminate.__wrapped__(polys) == reference_eliminate(polys)
 
@@ -1227,6 +1241,12 @@ def test_character_sums_reject_negative_k():
         character_sum_A(4, -1, ones_point(4))
     with pytest.raises(ValueError):
         character_sum_D(3, -1, ones_point(3), ones_point(2))
+
+
+def test_character_sum_D_rejects_n_below_one():
+    # the sum runs on the (n+2)-gon; below n = 1 it names family D
+    with pytest.raises(ValueError, match="family D needs n >= 1"):
+        character_sum_D(0, 1, (), ones_point(2))
 
 
 # --- listing memory -------------------------------------------------------------

@@ -148,8 +148,11 @@ def test_theorem_instance_validation():
         theorem_instance("nope", 3, 1)
     with pytest.raises(ValueError):
         theorem_instance("orbit-poly", 3, 1)  # needs a family
-    # the step flag only matters for two-step families and is ignored elsewhere
-    assert theorem_instance("thm2.5", 3, 1, generator_step=2).generator_step is None
+    # the step applies to classicalBC only and is rejected elsewhere
+    with pytest.raises(ValueError, match="applies to classicalBC only"):
+        theorem_instance("thm2.5", 3, 1, generator_step=2)
+    with pytest.raises(ValueError, match="applies to classicalBC only"):
+        theorem_instance("orbit-poly", 4, 1, generator_step=1, family="C")
     assert set(THEOREM_SELECTORS) == {
         "thm2.5", "thm3.4", "thm4.6", "thm1.1-1", "thm1.1-2", "thm1.1-3",
         "orbit-poly"}
@@ -193,6 +196,14 @@ def test_folding_consistency_grid(n, k):
     # every even divisor of 2n and every odd power appears exactly once
     ds = [e.d for e in rep.entries]
     assert ds == sorted(ds)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("k", range(0, 4))
+def test_folding_rejects_n_below_two(n, k):
+    # the odd powers compare with family C, which starts at n = 2
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        verify_folding_consistency(n, k)
 
 
 def test_folding_non_integer_weight_case():
