@@ -19,7 +19,6 @@ symmetric family.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -107,59 +106,6 @@ def action_order(family: str, n: int, generator_step: int | None = None) -> int:
     return order
 
 
-def _prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, increasing."""
-    primes, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return primes
-
-
-@lru_cache(maxsize=1)
-def orbit_sizes(family: str, n: int, k: int,
-                generator_step: int | None = None) -> tuple[int, ...]:
-    """Orbit size of every k-edge multidissection, in enumeration order.
-
-    An orbit size divides the generator's exact order N.  Starting from
-    N, each prime p dividing N is divided out while generator^(size/p)
-    fixes the object, which leaves the least power that fixes it: one
-    rotate-and-sort per prime factor of N for an object with a full
-    orbit.  generator^d fixes an object exactly when its orbit size
-    divides d.  The last census is kept, so a task's polynomial and its
-    fixed counts share one pass; the listing goes when the pass ends."""
-    order = action_order(family, n, generator_step)
-    primes = _prime_factors(order)
-    powers = {d: _permutation(family, n, d, generator_step)
-              for d in range(1, order) if order % d == 0}
-    sizes = []
-    for md in enumerate_multidissections(family, n, k):
-        items = md.index_items()
-        size = order
-        for p in primes:
-            while size % p == 0:
-                if _permuted(powers[size // p], items) != items:
-                    break
-                size //= p
-        sizes.append(size)
-    return tuple(sizes)
-
-
-def fixed_counts(sizes, order: int) -> list[int]:
-    """Entry d, for 0 <= d <= order, counts the orbit sizes dividing d:
-    the objects fixed by generator^d, all of them at d = 0."""
-    counts = [0] * (order + 1)
-    for size, members in Counter(sizes).items():
-        for d in range(0, order + 1, size):
-            counts[d] += members
-    return counts
-
-
 def _fixed_count(family: str, n: int, k: int, perm: tuple) -> int:
     """The k-edge multidissections that the edge permutation `perm` fixes,
     counted over unions of its orbits without listing them.
@@ -197,29 +143,32 @@ def _fixed_count(family: str, n: int, k: int, perm: tuple) -> int:
                                    1 if is_classical(family) else None)
 
 
+@lru_cache(maxsize=1)
 def fixed_count_vector(family: str, n: int, k: int,
-                       generator_step: int | None = None) -> list[int]:
-    """The vector `fixed_counts(orbit_sizes(...), order)` for the
-    generator's exact order, counted orbit union by orbit union instead of
-    object by object.  Entry d depends only on gcd(d, order), so one
-    count per divisor of the order fills it."""
+                       generator_step: int | None) -> tuple[int, ...]:
+    """Entry d, for 0 <= d <= N, counts the k-edge multidissections fixed
+    by generator^d, N being the generator's exact order; it depends only on
+    gcd(d, N).  A proper divisor counts over the orbit unions of its power
+    without listing; the total, where the power is the identity, is the
+    length of the listing.  The last vector is kept, so a task's polynomial
+    and its checks count once."""
     if k < 0:
         raise ValueError("edge count must be >= 0")
     order = action_order(family, n, generator_step)
     by_divisor = {d: _fixed_count(family, n, k,
                                   _permutation(family, n, d, generator_step))
-                  for d in range(1, order + 1) if order % d == 0}
-    return [by_divisor[gcd(d, order)] for d in range(order + 1)]
+                  for d in range(1, order) if order % d == 0}
+    by_divisor[order] = len(enumerate_multidissections(family, n, k))
+    return tuple(by_divisor[gcd(d, order)] for d in range(order + 1))
 
 
 def count_fixed(family: str, n: int, k: int, d: int,
                 generator_step: int | None = None) -> int:
     """Number of k-edge multidissections fixed by generator^d."""
-    # every orbit size s divides the order, so s | d exactly when
-    # s | gcd(d, order)
-    order = action_order(family, n, generator_step)
-    return fixed_counts(orbit_sizes(family, n, k, generator_step),
-                        order)[gcd(d, order)]
+    if d < 0:
+        raise ValueError("power must be >= 0")
+    counts = fixed_count_vector(family, n, k, generator_step)
+    return counts[gcd(d, len(counts) - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ genuine integer identity, not a float coincidence.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 from typing import NamedTuple
 
 from .actions import (
-    declared_group_order, fixed_counts, fold_target_param, orbit_sizes,
-    resolve_step,
+    declared_group_order, fixed_count_vector, fold_target_param, resolve_step,
 )
 from .polygons import enumerate_multidissections
 from .qseries import IntLaurentPoly, RootEvaluation, eval_at_unity_root
@@ -92,12 +91,11 @@ def verify(instance: CspInstance) -> CspReport:
     divisor checks for genuine cyclic actions but cheaply expose wrong
     generator orders.
     """
-    counts = fixed_counts(orbit_sizes(instance.family, instance.n, instance.k,
-                                      instance.generator_step),
-                          instance.group_order)
+    counts = fixed_count_vector(instance.family, instance.n, instance.k,
+                                instance.generator_step)
     checks = []
     for d in range(1, instance.group_order + 1):
-        fixed = counts[d]
+        fixed = counts[gcd(d, len(counts) - 1)]
         ev = eval_at_unity_root(instance.polynomial, instance.group_order, d)
         passed = ev.is_integer and ev.value == fixed
         checks.append(CspCheck(d, fixed, ev, passed))
@@ -108,9 +106,13 @@ def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
                      generator_step: int | None = None,
                      family: str | None = None) -> CspInstance:
     """Build the verification instance for a named result.  Only
-    thm1.1-2 reads `variant`, and None there means "printed".  A
-    `generator_step` is passed through, so any family but classicalBC
-    rejects it."""
+    thm1.1-2 takes a `variant`, and None there means "printed"; only
+    orbit-poly takes a `family`, and needs one.  A `generator_step` is
+    passed through, so any family but classicalBC rejects it."""
+    if variant is not None and selector != "thm1.1-2":
+        raise ValueError("variant applies to thm1.1-2 only")
+    if family is not None and selector != "orbit-poly":
+        raise ValueError("family applies to orbit-poly only")
     if selector == "thm2.5":
         return CspInstance("A", n, k, build_X_typeA(n, k), n,
                            generator_step=generator_step, label=selector)
@@ -146,13 +148,25 @@ def orbit_polynomial(family: str, n: int, k: int,
                      generator_step: int | None = None) -> IntLaurentPoly:
     """The tautological sieving polynomial: coefficient a_i counts the
     orbits whose stabilizer order divides i, with a_0 counting all
-    orbits.  Orbit sizes are measured against the declared group order."""
+    orbits.  Orbit sizes are measured against the declared group order.
+
+    The objects of orbit size exactly s are those fixed by generator^s
+    less those of every smaller orbit size t dividing s."""
     order = declared_group_order(family, n)
+    fixed = fixed_count_vector(family, n, k, generator_step)
     coeffs = [0] * order
-    for size, members in Counter(orbit_sizes(family, n, k, generator_step)).items():
+    exact: dict[int, int] = {}  # orbit size -> objects of that orbit size
+    for size in (s for s in range(1, len(fixed)) if (len(fixed) - 1) % s == 0):
+        members = exact[size] = fixed[size] - sum(
+            m for t, m in exact.items() if size % t == 0)
+        if not members:
+            continue
         if order % size:
             raise ArithmeticError("orbit size %d does not divide the group "
                                   "order %d" % (size, order))
+        if members % size:
+            raise ArithmeticError("%d objects of orbit size %d do not make "
+                                  "whole orbits" % (members, size))
         # members // size orbits, with stabilizer order order // size
         for i in range(0, order, order // size):
             coeffs[i] += members // size
@@ -203,17 +217,17 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    counts = fixed_counts(orbit_sizes("D", n, k), 2 * n)
+    counts = fixed_count_vector("D", n, k, None)
     # odd powers compare with centrally symmetric objects of half the
     # edges, of which there are none at odd k
-    half_counts = fixed_counts([] if k % 2 else orbit_sizes("C", n, k // 2),
-                               2 * n)
+    half_counts = (0,) * (2 * n + 1) if k % 2 \
+        else fixed_count_vector("C", n, k // 2, None)
     entries = []
     targets: dict[int, int] = {}  # fold target parameter -> its count
     for d in range(1, 2 * n + 1):
         if (2 * n) % d:
             continue
-        fixed = counts[d]
+        fixed = counts[gcd(d, len(counts) - 1)]
         if d % 2 == 0:
             p = fold_target_param(n, d)
             scaled, rest = divmod(k * p, n)
@@ -224,7 +238,7 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
                                         fixed == expected, p,
                                         None if rest else scaled))
         else:
-            expected = half_counts[d]
+            expected = half_counts[gcd(d, len(half_counts) - 1)]
             entries.append(FoldingEntry(d, "odd", fixed, expected,
                                         fixed == expected))
     return FoldingReport(n, k, tuple(entries))

@@ -10,20 +10,18 @@ from sievelab.actions import (
     count_fixed,
     declared_group_order,
     fixed_count_vector,
-    fixed_counts,
     fold,
     fold_target_param,
     invariant_multidissections,
     is_fixed,
     odd_power_correspondence,
-    orbit_sizes,
     resolve_step,
     rotate_edge,
     rotate_multidissection,
     rotation_edge_map,
     unfold,
 )
-from sievelab.cspverify import theorem_instance, verify
+from sievelab.cspverify import orbit_polynomial, theorem_instance, verify
 from sievelab.polygons import (
     DOTTED,
     FAMILIES,
@@ -41,13 +39,15 @@ from sievelab.polygons import (
     enumerate_multidissections,
     min_n,
 )
+from sievelab.qseries import IntLaurentPoly
 
 
 # --- reference rotation and fixed-point filter ----------------------------------
 #
 # The library rotates edges through a permutation of edge indices and counts
-# fixed points from orbit sizes.  These are the per-class rotation ladder and
-# the enumerate-and-filter count it replaced, kept as independent oracles.
+# fixed points over orbit unions.  These are the per-class rotation ladder,
+# the enumerate-and-filter count and the orbit walk it replaced, kept as
+# independent oracles.
 
 def reference_shift_pair_once(n, segregated, a, b):
     """One vertex step for a centrally symmetric nondiameter pair with
@@ -115,6 +115,26 @@ def reference_orbit_sizes(family, n, k, step):
             size += 1
         sizes.append(size)
     return sizes
+
+
+def reference_fixed_vector(family, n, k, step):
+    """Entry d, for 0 <= d <= the exact order, counts the walked orbit
+    sizes dividing d."""
+    sizes = reference_orbit_sizes(family, n, k, step)
+    return tuple(sum(d % s == 0 for s in sizes)
+                 for d in range(action_order(family, n, step) + 1))
+
+
+def reference_orbit_polynomial(family, n, k, step):
+    """Coefficient i counts the walked orbits whose stabilizer order, in
+    the declared group, divides i."""
+    order = declared_group_order(family, n)
+    sizes = reference_orbit_sizes(family, n, k, step)
+    coeffs = [0] * order
+    for size in set(sizes):
+        for i in range(0, order, order // size):
+            coeffs[i] += sizes.count(size) // size
+    return IntLaurentPoly(dict(enumerate(coeffs)))
 
 
 def family_cases(n_max):
@@ -266,7 +286,7 @@ def test_count_fixed_frozen():
 @pytest.mark.parametrize("family,n,step", list(family_cases(5)))
 def test_count_fixed_matches_reference_filter(family, n, step):
     # every power, divisors of the group order or not; verify's fixed
-    # counts come from the same orbit sizes and must agree too
+    # counts come from the same vector and must agree too
     order = declared_group_order(family, n)
     for k in range(0, 4):
         report = verify(theorem_instance("orbit-poly", n, k,
@@ -278,29 +298,26 @@ def test_count_fixed_matches_reference_filter(family, n, step):
             assert report.checks[d - 1].fixed_count == want, (k, d)
 
 
+def test_count_fixed_rejects_negative_power():
+    # as is_fixed and invariant_multidissections do
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        count_fixed("A", 5, 2, -1)
+
+
 @pytest.mark.parametrize("family,n,step",
                          [c for c in family_cases(7) if c[1] <= 7])
 def test_orbit_sizes_match_orbit_walk(family, n, step):
-    # the stabilizer tests find the same orbit size as walking the orbit
+    # the vector counts exactly the walked orbit sizes dividing each power
     for k in range(0, 5):
-        assert list(orbit_sizes(family, n, k, step)) == \
-            reference_orbit_sizes(family, n, k, step), k
+        assert fixed_count_vector(family, n, k, step) == \
+            reference_fixed_vector(family, n, k, step), k
 
 
-def test_orbit_sizes_is_a_kept_tuple():
-    # the kept census cannot be changed through its result
-    sizes = orbit_sizes("A", 6, 3)
-    assert type(sizes) is tuple
-    assert orbit_sizes("A", 6, 3) is sizes
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 12), max_size=30), st.integers(0, 24))
-def test_fixed_counts_match_filter(sizes, order):
-    counts = fixed_counts(sizes, order)
-    assert len(counts) == order + 1
-    for d in range(order + 1):
-        assert counts[d] == sum(d % s == 0 for s in sizes), d
+def test_fixed_count_vector_is_a_kept_tuple():
+    # the kept vector cannot be changed through its result
+    vector = fixed_count_vector("A", 6, 3, None)
+    assert type(vector) is tuple
+    assert fixed_count_vector("A", 6, 3, None) is vector
 
 
 # --- fixed counts over orbit unions, without listing ------------------------
@@ -326,10 +343,12 @@ def test_fixed_vector_case_count():
 
 @pytest.mark.parametrize("family,n,step", FIXED_VECTOR_CASES)
 def test_fixed_count_vector_matches_listing(family, n, step):
+    # each power's entry is the listing filtered by that power
     order = action_order(family, n, step)
     for k in FIXED_VECTOR_KS:
-        assert fixed_count_vector(family, n, k, step) == \
-            fixed_counts(orbit_sizes(family, n, k, step), order), k
+        assert fixed_count_vector(family, n, k, step) == tuple(
+            len(invariant_multidissections(family, n, k, d, step))
+            for d in range(order + 1)), k
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,24 +362,46 @@ def test_fixed_count_vector_matches_reference_filter(case, k, data):
                                               resolve_step(family, step))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(family_cases(4))), st.integers(0, 4))
+def test_orbit_polynomial_matches_orbit_walk(case, k):
+    # the orbits recovered from the fixed counts are the walked orbits
+    family, n, step = case
+    assert orbit_polynomial(family, n, k, step) == \
+        reference_orbit_polynomial(family, n, k, step)
+
+
 def test_fixed_count_vector_rejects_negative_k():
     with pytest.raises(ValueError):
-        fixed_count_vector("A", 5, -1)
+        fixed_count_vector("A", 5, -1, None)
 
 
-def test_verify_does_not_count_through_orbit_unions(monkeypatch):
-    # verify still lists the objects; the count is not wired in yet
-    import sievelab.actions as actions
+def test_verify_lists_once_and_reads_the_vector(monkeypatch):
+    # verify reads every power from the vector, whose total is one listing
     import sievelab.cspverify as cspverify
+    import sievelab.polygons as polygons
 
-    def fail(*args):
-        raise AssertionError("verify called the orbit-union count")
+    real_build = polygons.iter_weighted_assignments
+    real_vector = cspverify.fixed_count_vector
+    builds, vectors = [], []
 
-    for module in (actions, cspverify):
-        for name in ("fixed_count_vector", "_fixed_count"):
-            monkeypatch.setattr(module, name, fail, raising=False)
+    def build(*args):
+        builds.append(args[1])
+        return real_build(*args)
+
+    def vector(*args):
+        vectors.append(args)
+        return real_vector(*args)
+
+    fixed_count_vector.cache_clear()
+    monkeypatch.setattr(polygons, "iter_weighted_assignments", build)
+    monkeypatch.setattr(cspverify, "fixed_count_vector", vector)
     report = verify(theorem_instance("thm2.5", 5, 2))
     assert report.csp_holds
+    assert builds == [2]
+    assert vectors == [("A", 5, 2, None)]
+    assert [c.fixed_count for c in report.checks] == \
+        [real_vector("A", 5, 2, None)[d] for d in range(1, 6)]
 
 
 def test_invariant_multidissections_consistency():
@@ -386,11 +427,11 @@ def test_invariants_list_once_and_match_orbit_sizes(monkeypatch, family,
         builds.append(args[1])
         return real(*args)
 
-    # the orbit-size filter, listed before the spy goes in
+    # the walked orbit-size filter, listed before the spy goes in
     wanted = {}
     for k in range(0, 4):
         listing = enumerate_multidissections(family, n, k)
-        sizes = orbit_sizes(family, n, k, step)
+        sizes = reference_orbit_sizes(family, n, k, step)
         for d in range(0, declared_group_order(family, n) + 1):
             wanted[k, d] = [md for md, s in zip(listing, sizes) if d % s == 0]
     monkeypatch.setattr(polygons, "iter_weighted_assignments", build)

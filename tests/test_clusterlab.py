@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab import clusterlab
-from sievelab.actions import orbit_sizes, rotate_multidissection
+from sievelab.actions import fixed_count_vector, rotate_multidissection
 from sievelab.clusterlab import (
     GR_HALF,
     GR_I,
@@ -1265,9 +1265,9 @@ def held_objects(family, n):
     (lambda: check_conjecture_D(3, 2), [("D", 3), ("A", 5)]),
 ], ids=["enumerate", "verify", "basis-A", "conjecture-D"])
 def test_no_listing_outlives_its_call(call, held):
-    # nothing keeps a listing once its caller returns; only the
-    # orbit-size census is kept, so verify lists again after a clear
-    orbit_sizes.cache_clear()
+    # nothing keeps a listing once its caller returns; only the fixed
+    # count vector is kept, so verify lists again after a clear
+    fixed_count_vector.cache_clear()
     call()
     assert [held_objects(*h) for h in held] == [0] * len(held)
 

@@ -1,7 +1,10 @@
 """End-to-end sieving checks: fixed-point counts against root-of-unity values."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sievelab.cspverify as cspverify
 from sievelab.cspverify import (
     THEOREM_SELECTORS,
     CspInstance,
@@ -123,24 +126,59 @@ def test_orbit_polynomial_always_sieves(family, n_range, k_range):
     ("A", None), ("C", None), ("D", None), ("classicalA", None),
     ("classicalBC", 1), ("classicalBC", 2), ("classicalD", None),
 ])
-def test_orbit_poly_task_runs_one_stabilizer_pass(monkeypatch, family, step):
-    # the polynomial and the fixed counts read one kept census; each
-    # stabilizer pass factors the generator's order once
+def test_orbit_poly_task_lists_once(monkeypatch, family, step):
+    # the polynomial and the fixed counts read one kept vector, whose
+    # total is one listing
     import sievelab.actions as actions
+    import sievelab.polygons as polygons
 
-    real = actions._prime_factors
-    passes = []
+    real = polygons.iter_weighted_assignments
+    builds = []
 
-    def spy(m):
-        passes.append(m)
-        return real(m)
+    def build(*args):
+        builds.append(args[1])
+        return real(*args)
 
-    actions.orbit_sizes.cache_clear()
-    monkeypatch.setattr(actions, "_prime_factors", spy)
+    actions.fixed_count_vector.cache_clear()
+    monkeypatch.setattr(polygons, "iter_weighted_assignments", build)
     rep = verify(theorem_instance("orbit-poly", 4, 3, generator_step=step,
                                   family=family))
     assert rep.csp_holds
-    assert len(passes) == 1
+    assert builds == [3]
+
+
+def divisors(m):
+    return [s for s in range(1, m + 1) if m % s == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_orbit_polynomial_inverts_any_fixed_vector(n, data):
+    # any orbits, given only as the fixed counts of a generator whose order
+    # divides the group order n, come back orbit size by orbit size
+    order = data.draw(st.sampled_from(divisors(n)))
+    orbits = {s: data.draw(st.integers(0, 5)) for s in divisors(order)}
+    vector = tuple(sum(s * c for s, c in orbits.items() if d % s == 0)
+                   for d in range(order + 1))
+    want = {i: sum(c for s, c in orbits.items() if i % (n // s) == 0)
+            for i in range(n)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cspverify, "fixed_count_vector", lambda *args: vector)
+        assert orbit_polynomial("A", n, 1) == IntLaurentPoly(want)
+
+
+def test_orbit_polynomial_rejects_partial_orbits(monkeypatch):
+    # one object that the generator fixes and two that only its cube
+    # fixes: two thirds of an orbit of size 3
+    monkeypatch.setattr(cspverify, "fixed_count_vector",
+                        lambda *args: (3, 1, 1, 3))
+    with pytest.raises(ArithmeticError, match="do not make whole orbits"):
+        orbit_polynomial("A", 3, 1)
+    # one orbit of size 2 under a group of order 3
+    monkeypatch.setattr(cspverify, "fixed_count_vector",
+                        lambda *args: (2, 0, 2))
+    with pytest.raises(ArithmeticError, match="does not divide the group"):
+        orbit_polynomial("A", 3, 1)
 
 
 def test_theorem_instance_validation():
@@ -153,6 +191,13 @@ def test_theorem_instance_validation():
         theorem_instance("thm2.5", 3, 1, generator_step=2)
     with pytest.raises(ValueError, match="applies to classicalBC only"):
         theorem_instance("orbit-poly", 4, 1, generator_step=1, family="C")
+    # a family or a variant the selector does not read is rejected
+    with pytest.raises(ValueError, match="family applies to orbit-poly only"):
+        theorem_instance("thm2.5", 5, 2, family="C")
+    with pytest.raises(ValueError, match="variant applies to thm1.1-2 only"):
+        theorem_instance("thm3.4", 4, 2, variant="shifted")
+    assert theorem_instance("thm1.1-2", 3, 1, variant="shifted").variant \
+        == "shifted"
     assert set(THEOREM_SELECTORS) == {
         "thm2.5", "thm3.4", "thm4.6", "thm1.1-1", "thm1.1-2", "thm1.1-3",
         "orbit-poly"}
