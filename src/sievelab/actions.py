@@ -1,15 +1,11 @@
 """Rotation actions on polygon edge systems.
 
-The generator of each family's cyclic action:
-  A, classicalA    one vertex step on the n-gon
-  C               one vertex step on the 2n-gon (bar labels renormalize)
-  D, classicalD    one vertex step on the 2n-gon plus a color swap on
-                   every diameter
-  classicalBC      `generator_step` vertex steps on the 2n-gon (default 2)
-
-Each generator is a power of the one-vertex-step permutation of edge
-positions in the family's `EdgeTable` (`polygons.edge_table`), so a
-rotated multidissection is its index tuple permuted and re-sorted.
+Each family's generator is `generator_step` vertex steps of its polygon,
+as its row in `polygons.family_rules` allows, with every colored diameter
+swapping color at each step.  It is a power of the one-vertex-step
+permutation of edge positions in the family's `EdgeTable`
+(`polygons.edge_table`), so a rotated multidissection is its index tuple
+permuted and re-sorted.
 
 Also home to the folding bijection between multidissections invariant
 under an even power of the colored rotation and multidissections of a
@@ -25,7 +21,7 @@ from math import gcd
 from .polygons import (
     DIAMETER, DOTTED, SOLID, DDiameter,
     Multidissection, check_edge, edge_chords, edge_table, edge_universe,
-    enumerate_multidissections, is_classical, polygon_size,
+    enumerate_multidissections, family_rules, polygon_size,
     weighted_assignment_sum,
 )
 
@@ -33,21 +29,21 @@ from .polygons import (
 def declared_group_order(family: str, n: int) -> int:
     """Order of the acting cyclic group (which may exceed the exact order
     of the generator on the edge set)."""
-    return 2 * n if family in ("D", "classicalD") else n
+    return family_rules(family).order * n
 
 
 def resolve_step(family: str, generator_step: int | None) -> int:
-    """classicalBC admits a configurable vertex-step; everyone else is
-    pinned to one application of the family generator."""
-    if family == "classicalBC":
-        if generator_step is None:
-            return 2
-        if generator_step not in (1, 2):
-            raise ValueError("generator_step must be 1 or 2")
-        return generator_step
-    if generator_step is not None:
+    """The generator's vertex steps: the family's default for None, else one
+    of its accepted steps as a plain int (only classicalBC accepts two)."""
+    steps = family_rules(family).steps
+    if generator_step is None:
+        return steps[0]
+    if len(steps) == 1:
         raise ValueError("generator_step applies to classicalBC only")
-    return 1
+    if type(generator_step) is not int or generator_step not in steps:
+        raise ValueError("generator_step must be %s"
+                         % " or ".join(map(str, sorted(steps))))
+    return generator_step
 
 
 def _permutation(family: str, n: int, d: int,
@@ -139,19 +135,20 @@ def _fixed_count(family: str, n: int, k: int, perm: tuple) -> int:
         self_crossing = mask >> orbit_of[orbit[0]] & 1
         weights.append(0 if self_crossing
                        else sum(table.weights[e] for e in orbit))
+    max_mult = 1 if family_rules(family).classical else None
     return weighted_assignment_sum(weights, k, crosses, [1] * len(orbits),
-                                   1 if is_classical(family) else None)
+                                   max_mult)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def fixed_count_vector(family: str, n: int, k: int,
                        generator_step: int | None) -> tuple[int, ...]:
     """Entry d, for 0 <= d <= N, counts the k-edge multidissections fixed
     by generator^d, N being the generator's exact order; it depends only on
     gcd(d, N).  A proper divisor counts over the orbit unions of its power
     without listing; the total, where the power is the identity, is the
-    length of the listing.  The last vector is kept, so a task's polynomial
-    and its checks count once."""
+    length of the listing.  The last vector is kept, keyed by type too (a
+    step True is not 1), so a task's polynomial and its checks count once."""
     if k < 0:
         raise ValueError("edge count must be >= 0")
     order = action_order(family, n, generator_step)

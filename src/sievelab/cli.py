@@ -26,7 +26,7 @@ from .clusterlab import (
 from .cspverify import (
     THEOREM_SELECTORS, theorem_instance, verify, verify_folding_consistency,
 )
-from .polygons import FAMILIES, enumerate_multidissections
+from .polygons import FAMILIES, enumerate_multidissections, family_rules
 from .qseries import IntLaurentPoly
 from .symfunc import ones_point, principal_point
 
@@ -71,7 +71,7 @@ def _first_primes(n: int) -> tuple[IntLaurentPoly, ...]:
 
 
 def _character_probes(family: str, n: int):
-    if family == "A":
+    if family_rules(family).base == "A":
         return [
             ("ones", ones_point(n), None),
             ("principal", principal_point(n), None),

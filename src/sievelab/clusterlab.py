@@ -19,7 +19,7 @@ from typing import Iterable
 from .actions import resolve_step, rotate_multidissection
 from .polygons import (
     DIAMETER, EDGE, INTEGRATED, SEGREGATED, SOLID,
-    Multidissection, _base_bc, edge_table,
+    Multidissection, edge_table, family_rules,
     enumerate_multidissections, iter_weighted_assignments,
     weighted_assignment_sum,
 )
@@ -405,7 +405,7 @@ def _factor_power(family: str, n: int, idx: int, m: int) -> XPoly:
     in type D, the (n+2)-row factor."""
     table = edge_table(family, n)
     e, shape = table.edges[idx], table.shapes[idx]
-    type_c = _base_bc(family) == "C"
+    type_c = family_rules(family).base == "C"
     if shape == EDGE:
         factor = minor(e.i, e.j, n)
     elif type_c and shape == DIAMETER:
@@ -444,7 +444,7 @@ def _monomial_product(f: Multidissection, nrows: int) -> XPoly:
 
 def z_A(f: Multidissection) -> XPoly:
     """Product of minors, one per edge with multiplicity."""
-    if f.family not in ("A", "classicalA"):
+    if family_rules(f.family).base != "A":
         raise ValueError("expected a type A multidissection")
     return _monomial_product(f, f.n)
 
@@ -455,7 +455,7 @@ def z_C(f: Multidissection) -> XPoly:
     integrated pair and 1/(2i) for a segregated one.  The scalars are
     multiplied in once, after the integer product, as
     (-i)^(segregated pairs) / 2^(chord pairs)."""
-    if f.family not in ("C", "classicalBC"):
+    if family_rules(f.family).base != "C":
         raise ValueError("expected a type C multidissection")
     shapes = edge_table(f.family, f.n).shapes
     pairs = sum(m for i, m in f.index_items() if shapes[i] != DIAMETER)
@@ -468,7 +468,7 @@ def z_C(f: Multidissection) -> XPoly:
 def z_D(f: Multidissection) -> XPoly:
     """Representative in the (n+2)-row ring of the class modulo the
     principal ideal generated by the last minor."""
-    if f.family not in ("D", "classicalD"):
+    if family_rules(f.family).base != "D":
         raise ValueError("expected a type D multidissection")
     return _monomial_product(f, f.n + 2)
 
@@ -708,7 +708,7 @@ def rotation_substitution(family: str, n: int) -> VarSubstitution:
     n+2.  The last result is kept, so an equivariance sweep builds it
     once.
     """
-    base = _base_bc(family)  # ValueError for an unknown family
+    base = family_rules(family).base
     rows = list(range(2, n + 1)) + [1]  # the image of each row, in order
     if base == "D":
         rows += [n + 2, n + 1]
@@ -719,13 +719,11 @@ def rotation_substitution(family: str, n: int) -> VarSubstitution:
 
 
 def cluster_monomial(family: str, f: Multidissection) -> XPoly:
-    if family in ("A", "classicalA"):
-        return z_A(f)
-    if family in ("C", "classicalBC"):
-        return z_C(f)
-    if family in ("D", "classicalD"):
-        return z_D(f)
-    raise ValueError("unknown family %r" % family)
+    """The cluster monomial of f, which must be of `family`."""
+    base = family_rules(family).base
+    if f.family != family:
+        raise ValueError("expected a family %s multidissection" % family)
+    return z_A(f) if base == "A" else z_C(f) if base == "C" else z_D(f)
 
 
 def equivariance_discrepancy(family: str, n: int, f: Multidissection) -> XPoly:
@@ -758,7 +756,7 @@ class EquivarianceReport:
 def verify_equivariance(family: str, n: int, k: int) -> EquivarianceReport:
     """Exact equivariance for families A and C; equivariance modulo the
     principal ideal for family D."""
-    mode = "mod_J" if family in ("D", "classicalD") else "exact"
+    mode = "mod_J" if family_rules(family).base == "D" else "exact"
     failures = []
     mds = enumerate_multidissections(family, n, k)
     for f in mds:

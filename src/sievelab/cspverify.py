@@ -24,8 +24,23 @@ from .symfunc import (
     homog_eval, ones_point, principal_point,
 )
 
-THEOREM_SELECTORS = ("thm2.5", "thm3.4", "thm4.6",
-                     "thm1.1-1", "thm1.1-2", "thm1.1-3", "orbit-poly")
+# selector -> (its family, or None where the caller names one; its
+# polynomial from (family, n, k, variant, generator_step)).  A builder looks
+# its function up when called, so a rebound module global takes effect.
+_THEOREMS = {
+    "thm2.5": ("A", lambda family, n, k, variant, step: build_X_typeA(n, k)),
+    "thm3.4": ("C", lambda family, n, k, variant, step: build_X_typeC(n, k)),
+    "thm4.6": ("D", lambda family, n, k, variant, step: build_X_typeD(n, k)),
+    "thm1.1-1": ("classicalA", lambda family, n, k, variant, step:
+                 build_X_thm11(1, n, k)),
+    "thm1.1-2": ("classicalBC", lambda family, n, k, variant, step:
+                 build_X_thm11(2, n, k, variant)),
+    "thm1.1-3": ("classicalD", lambda family, n, k, variant, step:
+                 build_X_thm11(3, n, k)),
+    "orbit-poly": (None, lambda family, n, k, variant, step:
+                   orbit_polynomial(family, n, k, step)),
+}
+THEOREM_SELECTORS = tuple(_THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -34,15 +49,14 @@ class CspInstance:
     n: int
     k: int
     polynomial: IntLaurentPoly
-    group_order: int
+    group_order: int = field(init=False)
     variant: str | None = None
     generator_step: int | None = None
     label: str = ""
 
     def __post_init__(self):
-        if self.group_order != declared_group_order(self.family, self.n):
-            raise ValueError("group order %d does not match the declared "
-                             "order of family %s" % (self.group_order, self.family))
+        object.__setattr__(self, "group_order",
+                           declared_group_order(self.family, self.n))
         resolve_step(self.family, self.generator_step)
 
 
@@ -113,35 +127,18 @@ def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
         raise ValueError("variant applies to thm1.1-2 only")
     if family is not None and selector != "orbit-poly":
         raise ValueError("family applies to orbit-poly only")
-    if selector == "thm2.5":
-        return CspInstance("A", n, k, build_X_typeA(n, k), n,
-                           generator_step=generator_step, label=selector)
-    if selector == "thm3.4":
-        return CspInstance("C", n, k, build_X_typeC(n, k), n,
-                           generator_step=generator_step, label=selector)
-    if selector == "thm4.6":
-        return CspInstance("D", n, k, build_X_typeD(n, k), 2 * n,
-                           generator_step=generator_step, label=selector)
-    if selector == "thm1.1-1":
-        return CspInstance("classicalA", n, k, build_X_thm11(1, n, k), n,
-                           generator_step=generator_step, label=selector)
-    if selector == "thm1.1-2":
-        variant = "printed" if variant is None else variant
-        return CspInstance("classicalBC", n, k, build_X_thm11(2, n, k, variant),
-                           n, variant=variant, generator_step=generator_step,
-                           label=selector)
-    if selector == "thm1.1-3":
-        return CspInstance("classicalD", n, k, build_X_thm11(3, n, k), 2 * n,
-                           generator_step=generator_step, label=selector)
-    if selector == "orbit-poly":
-        if family is None:
-            raise ValueError("orbit-poly needs an explicit family")
-        return CspInstance(family, n, k,
-                           orbit_polynomial(family, n, k, generator_step),
-                           declared_group_order(family, n),
-                           generator_step=generator_step, label=selector)
-    raise ValueError("unknown selector %r (expected one of %s)"
-                     % (selector, ", ".join(THEOREM_SELECTORS)))
+    if selector not in THEOREM_SELECTORS:
+        raise ValueError("unknown selector %r (expected one of %s)"
+                         % (selector, ", ".join(THEOREM_SELECTORS)))
+    own_family, build = _THEOREMS[selector]
+    family = own_family or family
+    if family is None:
+        raise ValueError("orbit-poly needs an explicit family")
+    if selector == "thm1.1-2" and variant is None:
+        variant = "printed"
+    polynomial = build(family, n, k, variant, generator_step)
+    return CspInstance(family, n, k, polynomial, variant=variant,
+                       generator_step=generator_step, label=selector)
 
 
 def orbit_polynomial(family: str, n: int, k: int,

@@ -1,17 +1,9 @@
 """Polygon edge systems and multidissection enumeration.
 
-Families:
-  A           edges of a convex n-gon, unlimited multiplicity
-  C           diameters plus centrally symmetric chord pairs of a 2n-gon
-  D           colored diameters plus centrally symmetric pairs of a 2n-gon
-  classicalA  single-use diagonals of the n-gon (no boundary)
-  classicalBC single-use diameters / CS diagonal pairs (no boundary)
-  classicalD  single-use colored diameters / CS diagonal pairs (no boundary)
-
-Vertices are 0-indexed positions on the circle internally; public edge
-labels use 1..n (and the "barred" copy n+1..2n internally maps to labels
-with a bar).  Edge counts weigh a centrally symmetric pair of family D as
-two edges; everything else weighs one.
+Each family's rules are one row of `_FAMILY`, read through
+`family_rules`.  Vertices are 0-indexed positions on the circle
+internally; public edge labels use 1..n (and the "barred" copy n+1..2n
+internally maps to labels with a bar).
 
 All per-edge facts of one (family, n) live in its `EdgeTable`, by edge
 position: the universe in canonical order, weights, crossing masks, the
@@ -28,9 +20,49 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-FAMILIES = ("A", "C", "D", "classicalA", "classicalBC", "classicalD")
+
+class Family(NamedTuple):
+    """One polygon family's rules: `base` ("A", "C" or "D") gives the edge
+    universe and the cluster-monomial type; a `classical` family leaves out
+    the polygon's sides and uses multiplicities 0/1; a centrally symmetric
+    pair weighs `pair_weight` edges; the declared group order is `order`
+    times n; `steps` are the accepted generator steps, the default first."""
+
+    name: str
+    base: str
+    classical: bool
+    min_n: int
+    pair_weight: int
+    order: int
+    steps: tuple[int, ...] = (1,)
+
+
+_FAMILY = {f.name: f for f in (
+    # edges of a convex n-gon, unlimited multiplicity
+    Family("A", "A", False, 3, 1, 1),
+    # diameters plus centrally symmetric chord pairs of a 2n-gon
+    Family("C", "C", False, 2, 1, 1),
+    # colored diameters plus centrally symmetric pairs of a 2n-gon; n = 1
+    # is the digon
+    Family("D", "D", False, 1, 2, 2),
+    # single-use diagonals of the n-gon
+    Family("classicalA", "A", True, 3, 1, 1),
+    # single-use diameters and diagonal pairs; two vertex steps by default
+    Family("classicalBC", "C", True, 2, 1, 1, (2, 1)),
+    # single-use colored diameters and diagonal pairs
+    Family("classicalD", "D", True, 2, 1, 2),
+)}
+FAMILIES = tuple(_FAMILY)
+
+
+def family_rules(family: str) -> Family:
+    """The row of `family`; the one place an unknown family is rejected."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % family)
+    return _FAMILY[family]
+
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -83,33 +115,12 @@ class DPairInt:
     b: int
 
 
-def is_classical(family: str) -> bool:
-    return family.startswith("classical")
-
-
-def base_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % family)
-    return family[len("classical"):] if is_classical(family) else family
-
-
-def _base_bc(family: str) -> str:
-    # classicalBC shares the type-C edge universe
-    b = base_family(family)
-    return "C" if b == "BC" else b
-
-
 def polygon_size(family: str, n: int) -> int:
-    return n if _base_bc(family) == "A" else 2 * n
+    return n if family_rules(family).base == "A" else 2 * n
 
 
 def min_n(family: str) -> int:
-    base = _base_bc(family)
-    if base == "A":
-        return 3
-    if family == "D":
-        return 1  # digon convention
-    return 2
+    return family_rules(family).min_n
 
 
 # Each edge class once: its base family, its shape and its JSON label
@@ -130,7 +141,7 @@ def check_edge(family: str, e, n: int | None = None) -> None:
     """A ValueError unless e is an edge of the family, and of its polygon
     of parameter n when n is given."""
     if n is None:
-        if _KINDS.get(type(e), ("",))[0] != _base_bc(family):
+        if _KINDS.get(type(e), ("",))[0] != family_rules(family).base:
             raise ValueError("edge %r is not valid for family %s" % (e, family))
     elif e not in edge_table(family, n).index:
         raise ValueError("edge %r is not valid for family %s, n=%d" % (e, family, n))
@@ -139,7 +150,7 @@ def check_edge(family: str, e, n: int | None = None) -> None:
 def edge_weight(family: str, e) -> int:
     """Contribution of one unit of multiplicity to the edge count."""
     check_edge(family, e)
-    return 2 if family == "D" and _KINDS[type(e)][1] != DIAMETER else 1
+    return 1 if _KINDS[type(e)][1] == DIAMETER else family_rules(family).pair_weight
 
 
 def _chords(n: int, e) -> tuple[tuple[int, int], ...]:
@@ -207,11 +218,11 @@ class EdgeTable:
 
 
 def _universe(family: str, n: int) -> list:
-    base = _base_bc(family)
+    rules = family_rules(family)
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    if base == "A":
+    if rules.base == "A":
         edges = [AEdge(i, j) for i, j in pairs]
-    elif base == "C":
+    elif rules.base == "C":
         edges = [CDiameter(a) for a in range(1, n + 1)]
         edges += [CSegregated(a, b) for a, b in pairs]
         edges += [CIntegrated(a, b) for a, b in pairs]
@@ -219,8 +230,7 @@ def _universe(family: str, n: int) -> list:
         edges = [DDiameter(a, color) for a in range(1, n + 1) for color in (SOLID, DOTTED)]
         edges += [DPairSeg(a, b) for a, b in pairs]
         edges += [DPairInt(a, b) for a, b in pairs]
-    if is_classical(family):
-        # classical families leave out the polygon's sides
+    if rules.classical:
         m = polygon_size(family, n)
         edges = [e for e in edges
                  if all(v - u not in (1, m - 1) for u, v in _chords(n, e))]
@@ -231,8 +241,6 @@ def _universe(family: str, n: int) -> list:
 def edge_table(family: str, n: int) -> EdgeTable:
     """The edge table of (family, n).  The last 16 tables are kept, which
     covers every (family, n) one task touches."""
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % family)
     if n < min_n(family):
         raise ValueError("family %s needs n >= %d" % (family, min_n(family)))
     edges = tuple(_universe(family, n))
@@ -273,7 +281,7 @@ class Multidissection:
 
     def __init__(self, family: str, n: int, support: dict):
         table = edge_table(family, n)
-        classical = is_classical(family)
+        classical = family_rules(family).classical
         items = []
         for e, m in support.items():
             check_edge(family, e, n)
@@ -461,7 +469,7 @@ def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissect
     if k < 0:
         raise ValueError("edge count must be >= 0")
     table = edge_table(family, n)
-    max_mult = 1 if is_classical(family) else None
+    max_mult = 1 if family_rules(family).classical else None
     return [Multidissection._from_items(family, n, items)
             for items in iter_weighted_assignments(
                 table.weights, k, table.crosses, max_mult)]
@@ -469,6 +477,6 @@ def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissect
 
 def enumerate_classical(family: str, n: int, k: int) -> list[Multidissection]:
     """Classical dissections: 0/1 multiplicities, boundary edges excluded."""
-    if not is_classical(family):
+    if not family_rules(family).classical:
         raise ValueError("expected a classical family, got %r" % family)
     return enumerate_multidissections(family, n, k)

@@ -204,9 +204,11 @@ def test_theorem_instance_validation():
 
 
 def test_csp_instance_validates_group_order():
-    with pytest.raises(ValueError):
-        CspInstance("A", 4, 1, build_X_typeA(4, 1), group_order=5)
-    inst = CspInstance("A", 4, 1, build_X_typeA(4, 1), group_order=4)
+    # the group order is the family's declared one, not an argument
+    with pytest.raises(TypeError):
+        CspInstance("A", 4, 1, build_X_typeA(4, 1), group_order=4)
+    inst = CspInstance("A", 4, 1, build_X_typeA(4, 1))
+    assert inst.group_order == 4
     assert isinstance(verify(inst), CspReport)
 
 
