@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 from math import gcd
 
 
@@ -155,10 +156,12 @@ class IntLaurentPoly:
 
     def shift(self, s: int) -> "IntLaurentPoly":
         """Multiply by q**s."""
+        s = _exact_int(s, "shift")
         return IntLaurentPoly._make({e + s: c for e, c in self._terms.items()})
 
     def subst_power(self, s: int) -> "IntLaurentPoly":
         """Substitute q -> q**s.  s = 0 collapses to the value at q = 1."""
+        s = _exact_int(s, "substitution power")
         if s < 0:
             raise ValueError("substitution power must be nonnegative")
         out: dict[int, int] = {}
@@ -169,6 +172,7 @@ class IntLaurentPoly:
 
     def fold_exponents(self, m: int) -> "IntLaurentPoly":
         """Reduce exponents mod m, i.e. the residue mod q**m - 1."""
+        m = _exact_int(m, "modulus")
         if m <= 0:
             raise ValueError("modulus must be positive")
         out: dict[int, int] = {}
@@ -176,42 +180,6 @@ class IntLaurentPoly:
             ne = e % m
             out[ne] = out.get(ne, 0) + c
         return IntLaurentPoly._make({e: c for e, c in out.items() if c})
-
-    def exact_div(self, other: "IntLaurentPoly") -> "IntLaurentPoly":
-        """Exact polynomial division; a nonzero remainder is a hard error."""
-        other = _coerce(other)
-        if other is None or not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self:
-            return ZERO
-        sv, ov = self.valuation(), other.valuation()
-        num = {e - sv: c for e, c in self._terms.items()}
-        den = {e - ov: c for e, c in other._terms.items()}
-        ddeg = max(den)
-        lead = den[ddeg]
-        ndeg = max(num)
-        if ndeg < ddeg:
-            raise ArithmeticError("non-exact division: degree too small")
-        quot: dict[int, int] = {}
-        work = dict(num)
-        for e in range(ndeg - ddeg, -1, -1):
-            c = work.get(e + ddeg, 0)
-            if not c:
-                continue
-            qc, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("non-exact division: leading coefficient")
-            quot[e] = qc
-            for de, dc in den.items():
-                ne = e + de
-                v = work.get(ne, 0) - qc * dc
-                if v:
-                    work[ne] = v
-                elif ne in work:
-                    del work[ne]
-        if work:
-            raise ArithmeticError("non-exact division: nonzero remainder")
-        return IntLaurentPoly._make({e + sv - ov: c for e, c in quot.items() if c})
 
     def evaluate(self, x):
         """Evaluate at a concrete number (int, Fraction or complex).
@@ -280,63 +248,90 @@ Q = IntLaurentPoly({1: 1})
 
 def q_int(m: int) -> IntLaurentPoly:
     """[m]_q = 1 + q + ... + q^(m-1); [0]_q = 0."""
-    if m < 0:
+    if _exact_int(m, "m") < 0:
         raise ValueError("q_int needs m >= 0")
     return IntLaurentPoly._make({i: 1 for i in range(m)})
 
 
-def q_factorial(m: int) -> IntLaurentPoly:
-    """[m]!_q = [1]_q [2]_q ... [m]_q."""
-    if m < 0:
-        raise ValueError("q_factorial needs m >= 0")
-    out = ONE
-    for i in range(1, m + 1):
-        out = out * q_int(i)
-    return out
+def _factor_steps(p: IntLaurentPoly, ups, downs) -> IntLaurentPoly:
+    """p times (1 - q^a), then divided by (1 - q^b), for the i-th a of
+    `ups` and the i-th b of `downs` in turn (all positive; the shorter
+    list runs out first).  Each step is one pass over a dense coefficient
+    list; a division that leaves a remainder is an ArithmeticError, and a
+    negative exponent in p a ValueError."""
+    terms = p._terms
+    if terms and min(terms) < 0:
+        raise ValueError("factor steps need exponents >= 0")
+    c = [0] * (max(terms, default=-1) + 1)
+    for e, v in terms.items():
+        c[e] = v
+    for a, b in zip_longest(ups, downs):
+        if a:
+            pad = [0] * a
+            c = [x - y for x, y in zip(c + pad, pad + c)]
+        if b:
+            # 1/(1 - q^b) as a power series is a running sum along each
+            # residue class mod b; the quotient is exact when the top b
+            # coefficients of that sum vanish
+            for r in range(min(b, len(c))):
+                c[r::b] = accumulate(c[r::b])
+            if any(c[-b:]):
+                raise ArithmeticError("non-exact division by 1 - q^%d" % b)
+            del c[-b:]
+    return IntLaurentPoly._make({e: v for e, v in enumerate(c) if v})
 
 
 def q_binomial(m: int, r: int) -> IntLaurentPoly:
-    """Gaussian binomial [m choose r]_q by exact division."""
+    """Gaussian binomial [m choose r]_q, one factor step per i < r:
+    times (1 - q^(m-i)), divided by (1 - q^(i+1)), which leaves
+    [m choose i+1]_q.  It runs over the smaller of r and m - r."""
+    m, r = _exact_int(m, "m"), _exact_int(r, "r")
     if r < 0 or m < 0 or r > m:
         raise ValueError("q_binomial needs 0 <= r <= m")
-    num = q_factorial(m)
-    den = q_factorial(r) * q_factorial(m - r)
-    return num.exact_div(den)
+    r = min(r, m - r)
+    return _factor_steps(ONE, range(m, m - r, -1), range(1, r + 1))
 
 
 @lru_cache(maxsize=64)
 def cyclotomic(m: int) -> IntLaurentPoly:
-    """m-th cyclotomic polynomial, by exact division of q^m - 1.  The last
-    64 results are kept; building one reads those of every divisor of m."""
+    """m-th cyclotomic polynomial, q^m - 1 divided by the cyclotomic
+    polynomial of every proper divisor of m.  The last 64 results are
+    kept; building one reads those of every divisor of m."""
     if m < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    p = IntLaurentPoly({m: 1, 0: -1})
+    p = {m: 1, 0: -1}
     for dd in range(1, m):
         if m % dd == 0:
-            p = p.exact_div(cyclotomic(dd))
-    return p
+            p, rem = _divmod_monic(p, cyclotomic(dd))
+            if rem:
+                raise ArithmeticError("non-exact division by cyclotomic(%d)" % dd)
+    return IntLaurentPoly._make(p)
 
 
-def _mod_monic(terms: dict[int, int], modulus: IntLaurentPoly) -> dict[int, int]:
-    # remainder of division by a monic polynomial with exponents >= 0
+def _divmod_monic(terms: dict[int, int], modulus: IntLaurentPoly
+                  ) -> tuple[dict[int, int], dict[int, int]]:
+    """Quotient and remainder of a polynomial with exponents >= 0 by a
+    monic one, walking the exponents of the dividend downward."""
     mterms = modulus._terms
     mdeg = max(mterms)
     if mterms[mdeg] != 1:
         raise ValueError("modulus must be monic")
+    lower = [(e, mc) for e, mc in mterms.items() if e != mdeg]
     work = dict(terms)
-    while work:
-        d = max(work)
-        if d < mdeg:
-            break
-        c = work[d]
-        for e, mc in mterms.items():
-            ne = d - mdeg + e
+    quot = {}
+    for s in range(max(work, default=-1) - mdeg, -1, -1):
+        c = work.pop(s + mdeg, 0)
+        if not c:
+            continue
+        quot[s] = c
+        for e, mc in lower:
+            ne = s + e
             v = work.get(ne, 0) - c * mc
             if v:
                 work[ne] = v
             elif ne in work:
                 del work[ne]
-    return work
+    return quot, work
 
 
 @dataclass(frozen=True)
@@ -382,18 +377,17 @@ def eval_at_unity_root(p: IntLaurentPoly, m: int, d: int) -> RootEvaluation:
     modulo the m'-th cyclotomic polynomial.  A constant residue is an exact
     integer value; anything else is reported as non-rational.
     """
+    m, d = _exact_int(m, "root order"), _exact_int(d, "power")
     if m < 1:
         raise ValueError("root order must be >= 1")
-    if d < 0:
-        d %= m
     g = gcd(m, d)
     m2 = m // g
     d2 = d // g
-    # zeta^m = 1, so exponents only matter mod m (this also clears any
-    # negative Laurent exponents)
-    folded = p.fold_exponents(m)
-    substituted = folded.subst_power(d2)
-    residue = IntLaurentPoly._make(_mod_monic(substituted._terms, cyclotomic(m2)))
+    # zeta^d is a primitive m2-th root of unity, so exponents only matter
+    # mod m2, before and after q -> q^d2 (this also clears negative ones)
+    folded = p.fold_exponents(m2).subst_power(d2 % m2).fold_exponents(m2)
+    _, rem = _divmod_monic(folded._terms, cyclotomic(m2))
+    residue = IntLaurentPoly._make(rem)
     if residue.is_constant():
         return RootEvaluation.integer(residue.constant_value())
     return RootEvaluation.nonrational(residue, m2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qseries import IntLaurentPoly, ONE, ZERO, q_binomial, q_int
+from .qseries import IntLaurentPoly, ONE, ZERO, _factor_steps, q_binomial
 
 
 class TwoRowShape(NamedTuple):
@@ -163,7 +163,7 @@ def build_X_thm11(part: int, n: int, k: int, variant: str = "printed") -> IntLau
         if k > n - 3:
             return ZERO
         num = q_binomial(n + k, k + 1) * q_binomial(n - 3, k)
-        return num.exact_div(q_int(n + k))
+        return _factor_steps(num, (1,), (n + k,))
     if part == 2:
         if n < 2:
             raise ValueError("part 2 needs n >= 2")

@@ -16,10 +16,16 @@ from sievelab.qseries import (
     IntLaurentPoly,
     RootEvaluation,
     cyclotomic,
+    _factor_steps,
     eval_at_unity_root,
     q_binomial,
-    q_factorial,
     q_int,
+)
+from qseries_oracle import (
+    cyclotomic_divided,
+    exact_div,
+    q_binomial_expanded,
+    q_factorial,
 )
 
 
@@ -161,24 +167,106 @@ def test_subst_power_and_fold():
 
 
 def test_exact_div():
+    # the expand-and-divide oracle's long division
     rng = random.Random(99)
     for _ in range(40):
         a = random_poly(rng)
         b = random_poly(rng)
         if b.is_zero():
             continue
-        assert (a * b).exact_div(b) == a
+        assert exact_div(a * b, b) == a
     with pytest.raises(ArithmeticError):
-        (Q + ONE).exact_div(Q - ONE)
+        exact_div(Q + ONE, Q - ONE)
     with pytest.raises(ArithmeticError):
         # 2 is not divisible by 3 over the integers
-        IntLaurentPoly.monomial(0, 2).exact_div(IntLaurentPoly.monomial(0, 3))
+        exact_div(IntLaurentPoly.monomial(0, 2), IntLaurentPoly.monomial(0, 3))
 
 
 def test_q_int_factorial():
     assert q_int(4) == IntLaurentPoly({0: 1, 1: 1, 2: 1, 3: 1})
     assert q_factorial(3) == q_int(1) * q_int(2) * q_int(3)
     assert q_factorial(0) == ONE
+
+
+def test_shift_subst_and_fold_take_only_ints():
+    p = q_binomial(4, 2)
+    for call in (lambda: p.shift(0.5), lambda: p.subst_power(1.5),
+                 lambda: p.fold_exponents(2.5), lambda: p.shift(True),
+                 lambda: p.subst_power(False), lambda: p.fold_exponents(True)):
+        with pytest.raises(TypeError):
+            call()
+    # the range checks keep their messages
+    with pytest.raises(ValueError, match="substitution power must be nonnegative"):
+        p.subst_power(-1)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        p.fold_exponents(0)
+
+
+def test_q_side_rejects_bools_and_floats():
+    p = q_binomial(4, 2)
+    for call in (lambda: q_binomial(5, True), lambda: q_binomial(True, 0),
+                 lambda: q_binomial(5.0, 2), lambda: q_binomial(5, 2.0),
+                 lambda: q_int(True), lambda: q_int(3.0),
+                 lambda: eval_at_unity_root(p, True, 1),
+                 lambda: eval_at_unity_root(p, 4, True),
+                 lambda: eval_at_unity_root(p, 4.0, 1),
+                 lambda: eval_at_unity_root(p, 4, 1.0)):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError, match="q_binomial needs 0 <= r <= m"):
+        q_binomial(2, 3)
+    with pytest.raises(ValueError, match="q_int needs m >= 0"):
+        q_int(-1)
+    with pytest.raises(ValueError, match="root order must be >= 1"):
+        eval_at_unity_root(p, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, m))))
+def test_q_binomial_matches_expand_and_divide(mr):
+    m, r = mr
+    assert q_binomial(m, r) == q_binomial_expanded(m, r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 200))
+def test_cyclotomic_matches_divided_oracle(m):
+    assert cyclotomic(m) == cyclotomic_divided(m)
+
+
+polys = st.dictionaries(st.integers(0, 12), st.integers(-20, 20),
+                        max_size=6).map(IntLaurentPoly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, st.lists(st.integers(1, 6), max_size=3),
+       st.lists(st.integers(1, 6), max_size=3))
+def test_factor_steps_match_long_division(p, ups, downs):
+    # each step against the oracle: multiply out, then divide exactly
+    want = p
+    try:
+        for i in range(max(len(ups), len(downs))):
+            if i < len(ups):
+                want = want * (ONE - IntLaurentPoly.monomial(ups[i]))
+            if i < len(downs):
+                want = exact_div(want, ONE - IntLaurentPoly.monomial(downs[i]))
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _factor_steps(p, ups, downs)
+    else:
+        assert _factor_steps(p, ups, downs) == want
+
+
+def test_factor_steps_raise_on_a_remainder_or_a_laurent_input():
+    with pytest.raises(ArithmeticError, match="non-exact division"):
+        _factor_steps(ONE + Q, (), (2,))
+    with pytest.raises(ArithmeticError, match="non-exact division"):
+        # (1 - q^2) / (1 - q^3)
+        _factor_steps(ONE + Q, (1,), (3,))
+    assert _factor_steps(ONE + Q, (1,), (2,)) == ONE
+    with pytest.raises(ValueError, match="exponents >= 0"):
+        _factor_steps(IntLaurentPoly({-1: 1, 0: 1}), (1,), (1,))
 
 
 @pytest.mark.parametrize("m", range(0, 9))
