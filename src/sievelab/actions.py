@@ -20,10 +20,11 @@ from math import gcd
 
 from .polygons import (
     DIAMETER, DOTTED, SOLID, DDiameter,
-    Multidissection, check_edge, edge_chords, edge_table, edge_universe,
+    Multidissection, check_edge, edge_chords, edge_table,
     enumerate_multidissections, family_rules, polygon_size,
     weighted_assignment_sum,
 )
+from .qseries import _exact_int
 
 
 def declared_group_order(family: str, n: int) -> int:
@@ -49,7 +50,7 @@ def resolve_step(family: str, generator_step: int | None) -> int:
 def _permutation(family: str, n: int, d: int,
                  generator_step: int | None) -> tuple[int, ...]:
     """generator^d as a permutation of edge indices."""
-    if d < 0:
+    if _exact_int(d, "power") < 0:
         raise ValueError("power must be >= 0")
     rotation = edge_table(family, n).rotation
     perm = tuple(range(len(rotation)))
@@ -64,14 +65,6 @@ def rotate_edge(family: str, n: int, e, generator_step: int | None = None):
     table = edge_table(family, n)
     gen = _permutation(family, n, 1, generator_step)
     return table.edges[gen[table.index[e]]]
-
-
-def rotation_edge_map(family: str, n: int, d: int,
-                      generator_step: int | None = None) -> tuple:
-    """Pairs (edge, generator^d(edge)) over the whole edge universe."""
-    edges = edge_universe(family, n)
-    perm = _permutation(family, n, d, generator_step)
-    return tuple((e, edges[j]) for e, j in zip(edges, perm))
 
 
 def _permuted(perm: tuple, items: tuple) -> tuple:
@@ -149,7 +142,7 @@ def fixed_count_vector(family: str, n: int, k: int,
     without listing; the total, where the power is the identity, is the
     length of the listing.  The last vector is kept, keyed by type too (a
     step True is not 1), so a task's polynomial and its checks count once."""
-    if k < 0:
+    if _exact_int(k, "edge count") < 0:
         raise ValueError("edge count must be >= 0")
     order = action_order(family, n, generator_step)
     by_divisor = {d: _fixed_count(family, n, k,
@@ -162,7 +155,7 @@ def fixed_count_vector(family: str, n: int, k: int,
 def count_fixed(family: str, n: int, k: int, d: int,
                 generator_step: int | None = None) -> int:
     """Number of k-edge multidissections fixed by generator^d."""
-    if d < 0:
+    if _exact_int(d, "power") < 0:
         raise ValueError("power must be >= 0")
     counts = fixed_count_vector(family, n, k, generator_step)
     return counts[gcd(d, len(counts) - 1)]

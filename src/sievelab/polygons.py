@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
+from .qseries import _exact_int
+
 
 class Family(NamedTuple):
     """One polygon family's rules: `base` ("A", "C" or "D") gives the edge
@@ -237,11 +239,12 @@ def _universe(family: str, n: int) -> list:
     return edges
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def edge_table(family: str, n: int) -> EdgeTable:
     """The edge table of (family, n).  The last 16 tables are kept, which
-    covers every (family, n) one task touches."""
-    if n < min_n(family):
+    covers every (family, n) one task touches; keyed by type too, so a
+    float or bool n misses and is rejected here."""
+    if _exact_int(n, "n") < min_n(family):
         raise ValueError("family %s needs n >= %d" % (family, min_n(family)))
     edges = tuple(_universe(family, n))
     m = polygon_size(family, n)
@@ -466,7 +469,7 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
 
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:
     """All k-edge multidissections of the family, in a deterministic order."""
-    if k < 0:
+    if _exact_int(k, "edge count") < 0:
         raise ValueError("edge count must be >= 0")
     table = edge_table(family, n)
     max_mult = 1 if family_rules(family).classical else None

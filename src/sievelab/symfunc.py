@@ -12,21 +12,9 @@ read it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .qseries import IntLaurentPoly, ONE, ZERO, _factor_steps, q_binomial
-
-
-class TwoRowShape(NamedTuple):
-    a: int
-    b: int = 0
-
-
-def _shape(shape) -> TwoRowShape:
-    s = TwoRowShape(*shape) if not isinstance(shape, TwoRowShape) else shape
-    if s.a < s.b or s.b < 0:
-        raise ValueError("shape rows must satisfy a >= b >= 0")
-    return s
+from .qseries import (
+    IntLaurentPoly, ONE, ZERO, _exact_int, _factor_steps, q_binomial,
+)
 
 
 def as_point(values) -> tuple[IntLaurentPoly, ...]:
@@ -39,6 +27,7 @@ def as_point(values) -> tuple[IntLaurentPoly, ...]:
 
 def principal_point(n: int, step: int = 1) -> tuple[IntLaurentPoly, ...]:
     """The point (1, q^step, q^(2 step), ..., q^((n-1) step))."""
+    n, step = _exact_int(n, "n"), _exact_int(step, "step")
     return tuple(IntLaurentPoly.monomial(i * step) for i in range(n))
 
 
@@ -48,7 +37,7 @@ def ones_point(n: int) -> tuple[IntLaurentPoly, ...]:
 
 def homog_eval(k: int, point) -> IntLaurentPoly:
     """Complete homogeneous symmetric function h_k at the point."""
-    if k < 0:
+    if _exact_int(k, "homogeneous degree") < 0:
         raise ValueError("homogeneous degree must be >= 0")
     xs = as_point(point)
     # DP over variables: h[i] accumulates multisets drawn from a prefix
@@ -62,16 +51,18 @@ def homog_eval(k: int, point) -> IntLaurentPoly:
 def schur_eval(shape, point) -> IntLaurentPoly:
     """Two-row Schur function at the point, by the Jacobi-Trudi
     determinant h_a h_b - h_(a+1) h_(b-1), with h_(-1) = 0."""
-    s = _shape(shape)
+    a, b = (_exact_int(part, "shape row") for part in shape)
+    if a < b or b < 0:
+        raise ValueError("shape rows must satisfy a >= b >= 0")
     xs = as_point(point)
-    det = homog_eval(s.a, xs) * homog_eval(s.b, xs)
-    if s.b >= 1:
-        det = det - homog_eval(s.a + 1, xs) * homog_eval(s.b - 1, xs)
+    det = homog_eval(a, xs) * homog_eval(b, xs)
+    if b >= 1:
+        det = det - homog_eval(a + 1, xs) * homog_eval(b - 1, xs)
     return det
 
 
 def _check_edge_count(k: int):
-    if k < 0:
+    if _exact_int(k, "edge count") < 0:
         raise ValueError("edge count must be >= 0")
 
 
@@ -108,7 +99,7 @@ def build_X_typeA(n: int, k: int) -> IntLaurentPoly:
     """Sieving polynomial for k-edge multidissections of the n-gon under
     rotation: `character_A` at (1, q, ..., q^(n-1)) shifted down by q^k.
     The shift always lands in genuine polynomials."""
-    if n < 3:
+    if _exact_int(n, "n") < 3:
         raise ValueError("type A needs n >= 3")
     p = character_A(k, principal_point(n)).shift(-k)
     if not p.is_zero() and p.valuation() < 0:
@@ -119,7 +110,7 @@ def build_X_typeA(n: int, k: int) -> IntLaurentPoly:
 def build_X_typeC(n: int, k: int) -> IntLaurentPoly:
     """Sieving polynomial for the centrally symmetric family:
     `character_C` with both points (1, q, ..., q^(n-1))."""
-    if n < 2:
+    if _exact_int(n, "n") < 2:
         raise ValueError("type C needs n >= 2")
     point = principal_point(n)
     return character_C(k, point, point)
@@ -128,7 +119,7 @@ def build_X_typeC(n: int, k: int) -> IntLaurentPoly:
 def build_X_typeD(n: int, k: int) -> IntLaurentPoly:
     """Sieving polynomial for the colored-diameter family: `character_D`
     at y = (1, q^2, ..., q^(2(n-1))) and z = (1, q^n)."""
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("type D needs n >= 1")
     return character_D(k, principal_point(n, step=2),
                        (ONE, IntLaurentPoly.monomial(n)))
@@ -155,8 +146,8 @@ def build_X_thm11(part: int, n: int, k: int, variant: str = "printed") -> IntLau
     """
     if variant not in ("printed", "shifted"):
         raise ValueError("variant must be 'printed' or 'shifted'")
-    if k < 0:
-        raise ValueError("edge count must be >= 0")
+    _check_edge_count(k)
+    part, n = _exact_int(part, "part"), _exact_int(n, "n")
     if part == 1:
         if n < 3:
             raise ValueError("part 1 needs n >= 3")

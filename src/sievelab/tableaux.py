@@ -10,10 +10,22 @@ multidissections of the n-gon.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
-from .polygons import AEdge, Multidissection, chords_cross
+from .polygons import (
+    AEdge, Multidissection, chords_cross, enumerate_multidissections,
+)
+
+
+def _content(entries, n: int) -> tuple[int, ...]:
+    """How often each of 1..n occurs; any other entry is a ValueError."""
+    counts = [0] * n
+    for x in entries:
+        if not 1 <= x <= n:
+            raise ValueError("entry %r is outside 1..%d" % (x, n))
+        counts[x - 1] += 1
+    return tuple(counts)
 
 
 class TwoRowTableau:
@@ -35,10 +47,7 @@ class TwoRowTableau:
         return [(self.row1[c], self.row2[c]) for c in range(len(self.row2))]
 
     def content(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for x in self.row1 + self.row2:
-            counts[x - 1] += 1
-        return tuple(counts)
+        return _content(self.row1 + self.row2, n)
 
     def is_semistandard(self) -> bool:
         rows_ok = all(a <= b for a, b in zip(self.row1, self.row1[1:])) and \
@@ -59,9 +68,6 @@ class TwoRowTableau:
 
     def __repr__(self):
         return "TwoRowTableau(%r, %r)" % (list(self.row1), list(self.row2))
-
-    def to_json_obj(self) -> list:
-        return [list(self.row1), list(self.row2)]
 
 
 def enumerate_ssyt(shape: tuple[int, int], n: int) -> list[TwoRowTableau]:
@@ -87,11 +93,6 @@ def ssyt_content_counts(shape: tuple[int, int], n: int) -> tuple:
     return tuple(sorted(counter.items()))
 
 
-def columns_noncrossing(col1: tuple[int, int], col2: tuple[int, int]) -> bool:
-    """Columns (a,b), (c,d) with a<b, c<d viewed as polygon chords."""
-    return not chords_cross(col1, col2)
-
-
 class SNCTableau:
     """Multiset of strict, pairwise noncrossing columns, kept in sorted
     order so equal multisets compare equal."""
@@ -106,26 +107,13 @@ class SNCTableau:
         k = len(self.columns)
         return (k, k)
 
-    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (tuple(c[0] for c in self.columns),
-                tuple(c[1] for c in self.columns))
-
     def content(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for a, b in self.columns:
-            counts[a - 1] += 1
-            counts[b - 1] += 1
-        return tuple(counts)
+        return _content([x for col in self.columns for x in col], n)
 
     def is_valid(self) -> bool:
-        cols = self.columns
-        if any(a >= b for a, b in cols):
-            return False
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                if not columns_noncrossing(cols[i], cols[j]):
-                    return False
-        return True
+        """Every column (a, b) has 1 <= a < b, and no two cross as chords."""
+        return all(1 <= a < b for a, b in self.columns) and not any(
+            chords_cross(c1, c2) for c1, c2 in combinations(self.columns, 2))
 
     def __eq__(self, other):
         if not isinstance(other, SNCTableau):
@@ -138,39 +126,28 @@ class SNCTableau:
     def __repr__(self):
         return "SNCTableau(%r)" % (list(self.columns),)
 
-    def to_json_obj(self) -> list:
-        r1, r2 = self.rows()
-        return [list(r1), list(r2)]
-
 
 def enumerate_sncr(shape: tuple[int, int], n: int) -> list[SNCTableau]:
     """All seminoncrossing tableaux of rectangular two-row shape (k, k)
     with entries in 1..n, one canonical representative per column multiset.
 
-    Columns are generated in weakly increasing lexicographic order, so
-    each multiset appears exactly once.
+    For n >= 3 this is the image of `enumerate_multidissections("A", n, k)`
+    under `multidissection_to_sncr`, in the listing's order.  Below the
+    polygon's sizes, n = 2 has the one column (1, 2), repeated k times, and
+    n = 1 has only the empty tableau.
     """
     p, r = shape
     if p != r:
         raise ValueError("seminoncrossing tableaux use rectangular shapes")
     k = p
-    all_cols = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    out: list[SNCTableau] = []
-    chosen: list[tuple[int, int]] = []
-
-    def rec(start: int, remaining: int):
-        if remaining == 0:
-            out.append(SNCTableau(chosen))
-            return
-        for idx in range(start, len(all_cols)):
-            col = all_cols[idx]
-            if all(columns_noncrossing(col, prev) for prev in chosen):
-                chosen.append(col)
-                rec(idx, remaining - 1)
-                chosen.pop()
-
-    rec(0, k)
-    return out
+    if k < 0:
+        raise ValueError("edge count must be >= 0")
+    if n < 1:
+        raise ValueError("seminoncrossing tableaux need n >= 1")
+    if n < 3:
+        return [SNCTableau([(1, 2)] * k)] if n == 2 or k == 0 else []
+    return [multidissection_to_sncr(md)
+            for md in enumerate_multidissections("A", n, k)]
 
 
 def multidissection_to_sncr(md: Multidissection) -> SNCTableau:

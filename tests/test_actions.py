@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sievelab.actions import (
     _edge_of_chord,
+    _permutation,
     action_order,
     count_fixed,
     declared_group_order,
@@ -18,7 +19,6 @@ from sievelab.actions import (
     resolve_step,
     rotate_edge,
     rotate_multidissection,
-    rotation_edge_map,
     unfold,
 )
 from sievelab.cspverify import orbit_polynomial, theorem_instance, verify
@@ -212,6 +212,14 @@ def test_rotate_edge_rejects_foreign_edges():
         rotate_edge("A", 4, AEdge(1, 5))
 
 
+def rotation_edge_map(family, n, d, generator_step=None):
+    """Pairs (edge, generator^d(edge)) over the whole edge universe, read
+    from the permutation the package composes."""
+    edges = edge_universe(family, n)
+    perm = _permutation(family, n, d, generator_step)
+    return tuple((e, edges[j]) for e, j in zip(edges, perm))
+
+
 def test_rotation_edge_map_is_permutation():
     for family, n in [("A", 5), ("C", 3), ("D", 3), ("classicalBC", 3)]:
         universe = edge_universe(family, n)
@@ -374,6 +382,23 @@ def test_orbit_polynomial_matches_orbit_walk(case, k):
 def test_fixed_count_vector_rejects_negative_k():
     with pytest.raises(ValueError):
         fixed_count_vector("A", 5, -1, None)
+
+
+def test_powers_and_edge_counts_must_be_ints():
+    # a bool is not read as 1, nor a float as the int it equals
+    md = enumerate_multidissections("A", 5, 2)[3]
+    for call in (lambda: count_fixed("A", 6, 2, True),
+                 lambda: count_fixed("A", 6, 2, 2.0),
+                 lambda: count_fixed("A", 6, True, 1),
+                 lambda: fixed_count_vector("A", 6, 2.0, None),
+                 lambda: rotate_multidissection(md, True),
+                 lambda: rotate_multidissection(md, 1.0),
+                 lambda: is_fixed(md, True)):
+        with pytest.raises(TypeError):
+            call()
+    assert count_fixed("A", 6, 2, 1) == 0
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        rotate_multidissection(md, -1)
 
 
 def test_verify_lists_once_and_reads_the_vector(monkeypatch):

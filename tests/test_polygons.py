@@ -560,6 +560,25 @@ def test_listing_holds_one_object_per_pair(family):
         > 10 * len(edge_table(family, min_n(family) + 4).edges)
 
 
+def test_sizes_and_edge_counts_must_be_ints():
+    # the edge table is keyed by type, so a float n is rejected whether or
+    # not the table for the int n is cached, and never lists objects whose
+    # n is a float
+    edge_table.cache_clear()
+    for first in (False, True):
+        if first:
+            assert len(enumerate_multidissections("A", 4, 1)) == 6
+        for call in (lambda: enumerate_multidissections("A", 4.0, 1),
+                     lambda: enumerate_multidissections("A", True, 0),
+                     lambda: enumerate_multidissections("A", 5, True),
+                     lambda: enumerate_multidissections("A", 5, 1.0),
+                     lambda: edge_table("A", 4.0)):
+            with pytest.raises(TypeError):
+                call()
+    assert all(md.n == 4 and type(md.n) is int
+               for md in enumerate_multidissections("A", 4, 1))
+
+
 def test_listing_is_a_fresh_list():
     first = enumerate_multidissections("A", 5, 2)
     second = enumerate_multidissections("A", 5, 2)

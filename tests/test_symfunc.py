@@ -212,3 +212,38 @@ def test_thm11_part3_frozen():
 def test_thm11_rejects_bad_part():
     with pytest.raises(ValueError):
         build_X_thm11(4, 3, 1)
+
+
+def test_degrees_sizes_and_parts_must_be_ints():
+    # a bool is not read as 0 or 1, nor a float as the int it equals
+    y = principal_point(3)
+    for call in (lambda: homog_eval(True, y),
+                 lambda: homog_eval(2.0, y),
+                 lambda: schur_eval((True, 0), y),
+                 lambda: schur_eval((2, 1.0), y),
+                 lambda: character_A(True, y),
+                 lambda: character_C(1.0, y, y),
+                 lambda: character_D(False, y, y),
+                 lambda: build_X_typeA(5, True),
+                 lambda: build_X_typeA(5.0, 2),
+                 lambda: build_X_typeC(True, 1),
+                 lambda: build_X_typeD(4.0, 1),
+                 lambda: build_X_thm11(True, 6, 1),
+                 lambda: build_X_thm11(1, 6.0, 1),
+                 lambda: build_X_thm11(2, 6, True),
+                 lambda: principal_point(3.0),
+                 lambda: principal_point(3, step=True)):
+        with pytest.raises(TypeError):
+            call()
+    # the range checks keep their messages
+    for call, message in (
+            (lambda: homog_eval(-1, y), "homogeneous degree must be >= 0"),
+            (lambda: schur_eval((1, 2), y), "shape rows must satisfy a >= b >= 0"),
+            (lambda: schur_eval((1, -1), y), "shape rows must satisfy a >= b >= 0"),
+            (lambda: build_X_typeA(2, 1), "type A needs n >= 3"),
+            (lambda: build_X_typeC(1, 1), "type C needs n >= 2"),
+            (lambda: build_X_typeD(0, 1), "type D needs n >= 1"),
+            (lambda: build_X_thm11(1, 6, -1), "edge count must be >= 0"),
+            (lambda: build_X_thm11(0, 6, 1), "part must be 1, 2, or 3")):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -2,15 +2,19 @@
 bijection with type A multidissections."""
 
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from sievelab.polygons import Multidissection, enumerate_multidissections
+from sievelab.polygons import (
+    Multidissection,
+    chords_cross,
+    enumerate_multidissections,
+)
 from sievelab.tableaux import (
     SNCTableau,
     TwoRowTableau,
-    columns_noncrossing,
     content_equinumerosity,
     enumerate_sncr,
     enumerate_ssyt,
@@ -19,6 +23,32 @@ from sievelab.tableaux import (
     sncr_to_multidissection,
     ssyt_content_counts,
 )
+
+
+def reference_enumerate_sncr(shape, n):
+    """Backtracking over columns (a, b), a < b, in weakly increasing
+    lexicographic order, keeping each column that crosses no column
+    already chosen; each column multiset appears once, independent of the
+    polygon listing."""
+    p, r = shape
+    assert p == r
+    all_cols = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    out = []
+    chosen = []
+
+    def rec(start, remaining):
+        if remaining == 0:
+            out.append(SNCTableau(chosen))
+            return
+        for idx in range(start, len(all_cols)):
+            col = all_cols[idx]
+            if not any(chords_cross(col, prev) for prev in chosen):
+                chosen.append(col)
+                rec(idx, remaining - 1)
+                chosen.pop()
+
+    rec(0, p)
+    return out
 
 
 def brute_ssyt(shape, n):
@@ -63,6 +93,24 @@ def test_enumerate_ssyt_rejects_bad_shape():
         enumerate_ssyt((1, 2), 3)
 
 
+def test_content_rejects_entries_outside_one_to_n():
+    # an entry 0 must not land on vertex n through index -1, and an entry
+    # above n is a ValueError, not an IndexError
+    for t in (SNCTableau([(0, 2)]), SNCTableau([(1, 5)]),
+              TwoRowTableau([0], [1]), TwoRowTableau([1, 1], [4])):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            t.content(3)
+    assert SNCTableau([(1, 3), (1, 3)]).content(3) == (2, 0, 2)
+    assert TwoRowTableau([1, 3], [3]).content(3) == (1, 0, 2)
+
+
+def test_is_valid_rejects_entries_below_one():
+    assert not SNCTableau([(0, 2)]).is_valid()
+    assert not SNCTableau([(-1, 2), (2, 3)]).is_valid()
+    assert not SNCTableau([(2, 2)]).is_valid()
+    assert SNCTableau([(1, 2), (2, 3)]).is_valid()
+
+
 def test_tableau_basics():
     t = TwoRowTableau([1, 2, 2], [2, 3])
     assert t.shape == (3, 2)
@@ -84,11 +132,13 @@ def test_ssyt_content_counts():
 
 
 def test_columns_noncrossing():
-    assert columns_noncrossing((1, 3), (1, 4))
-    assert columns_noncrossing((1, 3), (3, 4))
-    assert not columns_noncrossing((1, 3), (2, 4))
-    assert columns_noncrossing((1, 4), (2, 3))
-    assert columns_noncrossing((1, 2), (1, 2))
+    # columns as polygon chords: SNCTableau.is_valid reads chords_cross
+    assert not chords_cross((1, 3), (1, 4))
+    assert not chords_cross((1, 3), (3, 4))
+    assert chords_cross((1, 3), (2, 4))
+    assert chords_cross((2, 4), (1, 3))
+    assert not chords_cross((1, 4), (2, 3))
+    assert not chords_cross((1, 2), (1, 2))
 
 
 def test_sncr_counts_match_multidissections():
@@ -96,6 +146,38 @@ def test_sncr_counts_match_multidissections():
         for k in range(0, 4):
             assert len(enumerate_sncr((k, k), n)) == \
                 len(enumerate_multidissections("A", n, k))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k", range(0, 5))
+def test_enumerate_sncr_matches_reference(n, k):
+    got = enumerate_sncr((k, k), n)
+    want = reference_enumerate_sncr((k, k), n)
+    assert len(got) == len(want)
+    assert Counter(t.columns for t in got) == Counter(t.columns for t in want)
+
+
+def test_enumerate_sncr_follows_the_listing_order():
+    for n, k in [(4, 2), (6, 3)]:
+        assert enumerate_sncr((k, k), n) == [
+            multidissection_to_sncr(md)
+            for md in enumerate_multidissections("A", n, k)]
+
+
+def test_enumerate_sncr_below_the_polygon_sizes():
+    # the polygon layer needs n >= 3; the digon has one column, the
+    # single vertex none
+    for k in range(0, 5):
+        assert enumerate_sncr((k, k), 2) == [SNCTableau([(1, 2)] * k)]
+        assert enumerate_sncr((k, k), 1) == ([SNCTableau([])] if k == 0 else [])
+
+
+def test_enumerate_sncr_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="edge count must be >= 0"):
+        enumerate_sncr((-1, -1), 4)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            enumerate_sncr((1, 1), n)
 
 
 def test_sncr_validity_and_uniqueness():
@@ -127,7 +209,7 @@ def test_bijection_round_trip(n, k):
         assert back == md
     assert len(images) == len(mds)
     # the image is exactly the seminoncrossing set
-    assert images == set(enumerate_sncr((k, k), n))
+    assert images == set(reference_enumerate_sncr((k, k), n))
 
 
 def test_bijection_rejects_other_families():
