@@ -20,8 +20,8 @@ from math import gcd
 
 from .polygons import (
     DIAMETER, DOTTED, SOLID, DDiameter,
-    Multidissection, check_edge, edge_chords, edge_table,
-    enumerate_multidissections, family_rules, polygon_size,
+    Multidissection, check_edge, check_size, edge_chords, edge_count,
+    edge_table, enumerate_multidissections, family_rules, polygon_size,
     weighted_assignment_sum,
 )
 from .qseries import _exact_int
@@ -30,7 +30,7 @@ from .qseries import _exact_int
 def declared_group_order(family: str, n: int) -> int:
     """Order of the acting cyclic group (which may exceed the exact order
     of the generator on the edge set)."""
-    return family_rules(family).order * n
+    return family_rules(family).order * _exact_int(n, "n")
 
 
 def resolve_step(family: str, generator_step: int | None) -> int:
@@ -142,8 +142,7 @@ def fixed_count_vector(family: str, n: int, k: int,
     without listing; the total, where the power is the identity, is the
     length of the listing.  The last vector is kept, keyed by type too (a
     step True is not 1), so a task's polynomial and its checks count once."""
-    if _exact_int(k, "edge count") < 0:
-        raise ValueError("edge count must be >= 0")
+    edge_count(k)
     order = action_order(family, n, generator_step)
     by_divisor = {d: _fixed_count(family, n, k,
                                   _permutation(family, n, d, generator_step))
@@ -176,6 +175,7 @@ def count_fixed(family: str, n: int, k: int, d: int,
 
 
 def fold_target_param(n: int, d: int) -> int:
+    n, d = check_size("D", n), _exact_int(d, "power")
     if d <= 0 or d % 2 or (2 * n) % d:
         raise ValueError("folding needs an even divisor of 2n")
     return d if n % d == 0 else d // 2
@@ -303,6 +303,7 @@ def odd_power_correspondence(n: int, d: int, k: int) -> list[tuple[Multidissecti
     uncolored diameter, and centrally symmetric pairs map by kind.
     Nothing is invariant at odd k, so the list is empty there.
     """
+    n, d, k = check_size("D", n), _exact_int(d, "power"), edge_count(k)
     if d % 2 == 0:
         raise ValueError("this correspondence is for odd powers")
     if k % 2:

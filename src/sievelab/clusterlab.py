@@ -19,11 +19,11 @@ from typing import Iterable
 from .actions import resolve_step, rotate_multidissection
 from .polygons import (
     DIAMETER, EDGE, INTEGRATED, SEGREGATED, SOLID,
-    Multidissection, edge_table, family_rules,
+    Multidissection, check_size, edge_count, edge_table, family_rules,
     enumerate_multidissections, iter_weighted_assignments,
     weighted_assignment_sum,
 )
-from .qseries import IntLaurentPoly, ZERO as Q_ZERO
+from .qseries import IntLaurentPoly, ZERO as Q_ZERO, _exact_int
 from .symfunc import (
     as_point, character_A, character_C, character_D, ones_point,
 )
@@ -151,7 +151,7 @@ def var_index(row: int, col: int, nrows: int) -> int:
 _MAX_EXP = 127
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _top_bits(width: int) -> int:
     """The top bit of every field of a monomial in width variables."""
     return int.from_bytes(b"\x80" * width, "big")
@@ -397,7 +397,7 @@ def _quadratic(nrows: int, terms) -> XPoly:
         for r1, c1, r2, c2, c in terms})
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _factor_power(family: str, n: int, idx: int, m: int) -> XPoly:
     """The m-th power of the factor of edge `idx` of the family's table: a
     minor in type A; in type C, x_{a1} x_{a2} for a diameter and
@@ -434,7 +434,7 @@ def _product(family: str, n: int, items: tuple) -> XPoly:
 
 # Objects in enumeration order share their prefixes, so a prefix's product
 # is built once from its own prefix and kept while the search is below it.
-_prefix_product = lru_cache(maxsize=64)(_product)
+_prefix_product = lru_cache(maxsize=64, typed=True)(_product)
 
 
 def _monomial_product(f: Multidissection, nrows: int) -> XPoly:
@@ -577,7 +577,7 @@ def _rank_mod_p(polys: tuple) -> int | None:
     return len(pivots)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _eliminate(polys: tuple) -> tuple[int, tuple | None]:
     """Exact rank over Q(i) and the first vanishing linear combination
     found, as sorted (index, coefficient) pairs, or None.  Rows are keyed
@@ -698,17 +698,17 @@ _WRAP_SCALARS = {"A": ((-1, 0), (-1, 0)), "C": ((0, -1), (0, 1)),
                  "D": ((1, 0), (1, 0))}
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def rotation_substitution(family: str, n: int) -> VarSubstitution:
     """The substitution realizing one rotation step on cluster monomials.
 
     Rows 1..n-1 move down one row and row n wraps to row 1, its columns
     scaled by -1 and -1 in family A, by -i and +i in family C and by
     nothing in family D; family D also swaps its two color rows n+1 and
-    n+2.  The last result is kept, so an equivariance sweep builds it
-    once.
+    n+2.  The last result is kept, keyed by type too, so an equivariance
+    sweep builds it once and a float n is rejected after an int one.
     """
-    base = family_rules(family).base
+    n, base = _exact_int(n, "n"), family_rules(family).base
     rows = list(range(2, n + 1)) + [1]  # the image of each row, in order
     if base == "D":
         rows += [n + 2, n + 1]
@@ -828,6 +828,7 @@ def check_basis_C(n: int, k: int) -> BasisReport:
 def lemma_basis_multidissections(n: int, k: int) -> tuple:
     """A-multidissections of the (n+2)-gon avoiding the edge (n+1, n+2)
     whose endpoint count inside 1..n, with multiplicity, is exactly k."""
+    n, k = check_size("D", n), edge_count(k)
     table = edge_table("A", n + 2)
     return tuple(Multidissection._from_items("A", n + 2, items)
                  for items in iter_weighted_assignments(
@@ -842,8 +843,7 @@ def _d_degrees(n: int) -> list[int]:
 
 def expected_dim_D(n: int, k: int) -> int:
     """Graded dimension: `character_D` at all-ones."""
-    if n < 1:
-        raise ValueError("family D needs n >= 1")
+    check_size("D", n)
     return character_D(k, ones_point(n), ones_point(2)).constant_value()
 
 
@@ -928,11 +928,9 @@ def _chord_sum(point, weights, k: int) -> IntLaurentPoly:
 def character_sum_A(n: int, k: int, y) -> IntLaurentPoly:
     """The weight sum over k-edge multidissections of the n-gon at the
     point y."""
-    ys = as_point(y)
+    n, k, ys = check_size("A", n), edge_count(k), as_point(y)
     if len(ys) != n:
         raise ValueError("expected %d values" % n)
-    if k < 0:
-        raise ValueError("edge count must be >= 0")
     return _chord_sum(ys, edge_table("A", n).weights, k)
 
 
@@ -947,14 +945,9 @@ def character_sum_D(n: int, k: int, y, z) -> IntLaurentPoly:
     `lemma_basis_multidissections(n, k)`: multidissections of the
     (n+2)-gon weighted by d-degree, where vertex i <= n carries y_i and
     vertices n+1, n+2 carry z_1, z_2."""
-    if n < 1:
-        raise ValueError("family D needs n >= 1")
-    ys = as_point(y)
-    zs = as_point(z)
+    n, k, ys, zs = check_size("D", n), edge_count(k), as_point(y), as_point(z)
     if len(ys) != n or len(zs) != 2:
         raise ValueError("expected %d + 2 values" % n)
-    if k < 0:
-        raise ValueError("edge count must be >= 0")
     return _chord_sum(ys + zs, _d_degrees(n), k)
 
 

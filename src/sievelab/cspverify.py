@@ -18,7 +18,9 @@ from .actions import (
     declared_group_order, fixed_count_vector, fold_target_param, resolve_step,
 )
 from .polygons import enumerate_multidissections
-from .qseries import IntLaurentPoly, RootEvaluation, eval_at_unity_root
+from .qseries import (
+    IntLaurentPoly, RootEvaluation, _exact_int, eval_at_unity_root,
+)
 from .symfunc import (
     build_X_thm11, build_X_typeA, build_X_typeC, build_X_typeD,
     homog_eval, ones_point, principal_point,
@@ -245,7 +247,8 @@ def homog_principal_root_check(n: int, k: int, d: int) -> bool:
     """Root-of-unity collapse of the principal h_k specialization: at a
     primitive d-th root (d | n) it equals the all-ones value of h_{k/d}
     in n/d variables when d | k, and vanishes otherwise."""
-    if n % d:
+    n, d = _exact_int(n, "n"), _exact_int(d, "d")
+    if d <= 0 or n % d:
         raise ValueError("d must divide n")
     left = eval_at_unity_root(homog_eval(k, principal_point(n)), n, n // d)
     if not left.is_integer:

@@ -125,6 +125,20 @@ def min_n(family: str) -> int:
     return family_rules(family).min_n
 
 
+def check_size(family: str, n: int) -> int:
+    """n, checked as an int of at least the family's `min_n`."""
+    if _exact_int(n, "n") < min_n(family):
+        raise ValueError("family %s needs n >= %d" % (family, min_n(family)))
+    return n
+
+
+def edge_count(k: int) -> int:
+    """k, checked as an int edge count of at least 0."""
+    if _exact_int(k, "edge count") < 0:
+        raise ValueError("edge count must be >= 0")
+    return k
+
+
 # Each edge class once: its base family, its shape and its JSON label
 # kind.  Family D's classes share family C's shapes.
 EDGE, DIAMETER, SEGREGATED, INTEGRATED = "edge", "diameter", "segregated", "integrated"
@@ -244,8 +258,7 @@ def edge_table(family: str, n: int) -> EdgeTable:
     """The edge table of (family, n).  The last 16 tables are kept, which
     covers every (family, n) one task touches; keyed by type too, so a
     float or bool n misses and is rejected here."""
-    if _exact_int(n, "n") < min_n(family):
-        raise ValueError("family %s needs n >= %d" % (family, min_n(family)))
+    check_size(family, n)
     edges = tuple(_universe(family, n))
     m = polygon_size(family, n)
     colors = [getattr(e, "color", None) for e in edges]
@@ -386,8 +399,9 @@ def iter_weighted_assignments(weights, target: int, crosses,
 
     Bit j of `crosses[i]` is set when edges i and j cross, and `max_mult`
     optionally caps the per-edge multiplicity.  Edges of weight 0 are
-    never chosen.
+    never chosen.  The arguments are checked when it is called.
     """
+    target = edge_count(target)
     if any(w < 0 for w in weights):
         raise ValueError("weights must be >= 0")
     # pairs[idx][m - 1] is the one (idx, m) pair every support shares;
@@ -413,7 +427,7 @@ def iter_weighted_assignments(weights, target: int, crosses,
                 yield from rec(idx + 1, remaining - pair[1] * w, below)
             chosen.pop()
 
-    yield from rec(0, target, 0)
+    return rec(0, target, 0)
 
 
 def weighted_assignment_sum(weights, target: int, crosses, values,
@@ -429,6 +443,7 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
     summed once; the memo is dropped when the call returns.  Recursion
     goes one level per chosen edge, so its depth stays within `target`.
     """
+    target = edge_count(target)
     if any(w < 0 for w in weights):
         raise ValueError("weights must be >= 0")
     size = len(weights)
@@ -469,8 +484,7 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
 
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:
     """All k-edge multidissections of the family, in a deterministic order."""
-    if _exact_int(k, "edge count") < 0:
-        raise ValueError("edge count must be >= 0")
+    edge_count(k)
     table = edge_table(family, n)
     max_mult = 1 if family_rules(family).classical else None
     return [Multidissection._from_items(family, n, items)

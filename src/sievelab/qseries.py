@@ -292,7 +292,7 @@ def q_binomial(m: int, r: int) -> IntLaurentPoly:
     return _factor_steps(ONE, range(m, m - r, -1), range(1, r + 1))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def cyclotomic(m: int) -> IntLaurentPoly:
     """m-th cyclotomic polynomial, q^m - 1 divided by the cyclotomic
     polynomial of every proper divisor of m.  The last 64 results are

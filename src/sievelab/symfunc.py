@@ -12,6 +12,7 @@ read it.
 
 from __future__ import annotations
 
+from .polygons import check_size, edge_count
 from .qseries import (
     IntLaurentPoly, ONE, ZERO, _exact_int, _factor_steps, q_binomial,
 )
@@ -32,7 +33,7 @@ def principal_point(n: int, step: int = 1) -> tuple[IntLaurentPoly, ...]:
 
 
 def ones_point(n: int) -> tuple[IntLaurentPoly, ...]:
-    return as_point([1] * n)
+    return as_point([1] * _exact_int(n, "n"))
 
 
 def homog_eval(k: int, point) -> IntLaurentPoly:
@@ -61,11 +62,6 @@ def schur_eval(shape, point) -> IntLaurentPoly:
     return det
 
 
-def _check_edge_count(k: int):
-    if _exact_int(k, "edge count") < 0:
-        raise ValueError("edge count must be >= 0")
-
-
 # Each family's character: the weight sum of the span of its degree-k
 # cluster monomials.  At a principal point it is the family's sieving
 # polynomial (up to a shift), and at all-ones its basis dimension.
@@ -73,20 +69,20 @@ def _check_edge_count(k: int):
 
 def character_A(k: int, y) -> IntLaurentPoly:
     """Family A's character, the rectangle Schur function s_(k,k)(y)."""
-    _check_edge_count(k)
+    edge_count(k)
     return schur_eval((k, k), y)
 
 
 def character_C(k: int, y, z) -> IntLaurentPoly:
     """Family C's character, the product h_k(y) h_k(z)."""
-    _check_edge_count(k)
+    edge_count(k)
     return homog_eval(k, y) * homog_eval(k, z)
 
 
 def character_D(k: int, y, z) -> IntLaurentPoly:
     """Family D's character, the sum over 0 <= l <= k/2 of
     s_(k-l,l)(y) h_(k-2l)(z)."""
-    _check_edge_count(k)
+    edge_count(k)
     ys, zs = as_point(y), as_point(z)
     total = ZERO
     for ell in range(k // 2 + 1):
@@ -99,8 +95,7 @@ def build_X_typeA(n: int, k: int) -> IntLaurentPoly:
     """Sieving polynomial for k-edge multidissections of the n-gon under
     rotation: `character_A` at (1, q, ..., q^(n-1)) shifted down by q^k.
     The shift always lands in genuine polynomials."""
-    if _exact_int(n, "n") < 3:
-        raise ValueError("type A needs n >= 3")
+    check_size("A", n)
     p = character_A(k, principal_point(n)).shift(-k)
     if not p.is_zero() and p.valuation() < 0:
         raise ArithmeticError("specialization produced negative exponents")
@@ -110,8 +105,7 @@ def build_X_typeA(n: int, k: int) -> IntLaurentPoly:
 def build_X_typeC(n: int, k: int) -> IntLaurentPoly:
     """Sieving polynomial for the centrally symmetric family:
     `character_C` with both points (1, q, ..., q^(n-1))."""
-    if _exact_int(n, "n") < 2:
-        raise ValueError("type C needs n >= 2")
+    check_size("C", n)
     point = principal_point(n)
     return character_C(k, point, point)
 
@@ -119,8 +113,7 @@ def build_X_typeC(n: int, k: int) -> IntLaurentPoly:
 def build_X_typeD(n: int, k: int) -> IntLaurentPoly:
     """Sieving polynomial for the colored-diameter family: `character_D`
     at y = (1, q^2, ..., q^(2(n-1))) and z = (1, q^n)."""
-    if _exact_int(n, "n") < 1:
-        raise ValueError("type D needs n >= 1")
+    check_size("D", n)
     return character_D(k, principal_point(n, step=2),
                        (ONE, IntLaurentPoly.monomial(n)))
 
@@ -146,30 +139,25 @@ def build_X_thm11(part: int, n: int, k: int, variant: str = "printed") -> IntLau
     """
     if variant not in ("printed", "shifted"):
         raise ValueError("variant must be 'printed' or 'shifted'")
-    _check_edge_count(k)
-    part, n = _exact_int(part, "part"), _exact_int(n, "n")
+    edge_count(k)
+    part = _exact_int(part, "part")
+    if part not in (1, 2, 3):
+        raise ValueError("part must be 1, 2, or 3")
+    n = check_size(("classicalA", "classicalBC", "classicalD")[part - 1], n)
     if part == 1:
-        if n < 3:
-            raise ValueError("part 1 needs n >= 3")
         if k > n - 3:
             return ZERO
         num = q_binomial(n + k, k + 1) * q_binomial(n - 3, k)
         return _factor_steps(num, (1,), (n + k,))
     if part == 2:
-        if n < 2:
-            raise ValueError("part 2 needs n >= 2")
         if variant == "printed":
             p = _qbinom_or_zero(n + k + 1, k) * _qbinom_or_zero(n + 1, k)
         else:
             p = _qbinom_or_zero(n + k - 1, k) * _qbinom_or_zero(n - 1, k)
         return p.subst_power(2)
-    if part == 3:
-        if n < 2:
-            raise ValueError("part 3 needs n >= 2")
-        qn = IntLaurentPoly.monomial(n)
-        t1 = _qbinom_or_zero(n + k - 1, k) * _qbinom_or_zero(n - 1, k)
-        t2 = _qbinom_or_zero(n + k - 1, k) * _qbinom_or_zero(n - 2, k - 1)
-        t3 = _qbinom_or_zero(n + k - 1, k) * _qbinom_or_zero(n - 2, k - 2)
-        t4 = _qbinom_or_zero(n + k - 2, k) * _qbinom_or_zero(n - 2, k - 2)
-        return (t1 + t3).subst_power(2) + ((t2 + t4).subst_power(2)) * qn
-    raise ValueError("part must be 1, 2, or 3")
+    qn = IntLaurentPoly.monomial(n)
+    t1 = _qbinom_or_zero(n + k - 1, k) * _qbinom_or_zero(n - 1, k)
+    t2 = _qbinom_or_zero(n + k - 1, k) * _qbinom_or_zero(n - 2, k - 1)
+    t3 = _qbinom_or_zero(n + k - 1, k) * _qbinom_or_zero(n - 2, k - 2)
+    t4 = _qbinom_or_zero(n + k - 2, k) * _qbinom_or_zero(n - 2, k - 2)
+    return (t1 + t3).subst_power(2) + ((t2 + t4).subst_power(2)) * qn

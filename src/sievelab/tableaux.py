@@ -14,8 +14,10 @@ from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 from .polygons import (
-    AEdge, Multidissection, chords_cross, enumerate_multidissections,
+    AEdge, Multidissection, chords_cross, edge_count,
+    enumerate_multidissections,
 )
+from .qseries import _exact_int
 
 
 def _content(entries, n: int) -> tuple[int, ...]:
@@ -73,7 +75,8 @@ class TwoRowTableau:
 def enumerate_ssyt(shape: tuple[int, int], n: int) -> list[TwoRowTableau]:
     """All two-row semistandard tableaux of the shape with entries in 1..n,
     in lexicographic (row1, row2) order."""
-    p, r = shape
+    p, r = (_exact_int(part, "shape row") for part in shape)
+    n = _exact_int(n, "n")
     if r > p or r < 0:
         raise ValueError("shape must satisfy first >= second >= 0")
     out = []
@@ -136,12 +139,10 @@ def enumerate_sncr(shape: tuple[int, int], n: int) -> list[SNCTableau]:
     polygon's sizes, n = 2 has the one column (1, 2), repeated k times, and
     n = 1 has only the empty tableau.
     """
-    p, r = shape
+    p, r = (_exact_int(part, "shape row") for part in shape)
     if p != r:
         raise ValueError("seminoncrossing tableaux use rectangular shapes")
-    k = p
-    if k < 0:
-        raise ValueError("edge count must be >= 0")
+    k, n = edge_count(p), _exact_int(n, "n")
     if n < 1:
         raise ValueError("seminoncrossing tableaux need n >= 1")
     if n < 3:

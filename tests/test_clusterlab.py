@@ -46,7 +46,7 @@ from sievelab.clusterlab import (
     z_C,
     z_D,
 )
-from sievelab.clusterlab import _PRIME, _SQRT_M1, _rank_mod_p
+from sievelab.clusterlab import _PRIME, _SQRT_M1, _factor_power, _rank_mod_p
 from sievelab.cspverify import theorem_instance, verify
 from sievelab.polygons import (
     DOTTED,
@@ -1065,6 +1065,22 @@ def test_rotation_substitution_A():
         rotation_substitution("B", 4)
     with pytest.raises(ValueError):
         VarSubstitution(1, (0, 0))
+
+
+@pytest.mark.parametrize("cached", [
+    lambda n: rotation_substitution("A", n),
+    lambda n: _factor_power("A", n, 0, 1),
+], ids=["rotation_substitution", "_factor_power"])
+def test_cached_builders_reject_a_float_n_after_an_int(cached):
+    # both caches are keyed by type, so an int n = 5 answer is never
+    # handed back for 5.0
+    rotation_substitution.cache_clear()
+    _factor_power.cache_clear()
+    with pytest.raises(TypeError):
+        cached(5.0)
+    cached(5)
+    with pytest.raises(TypeError):
+        cached(5.0)
 
 
 def test_rotation_substitution_C():

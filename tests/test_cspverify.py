@@ -302,6 +302,19 @@ def test_homog_principal_root_check_rejects_non_divisor():
         homog_principal_root_check(6, 2, 4)
 
 
+@pytest.mark.parametrize("d", [0, -1, -2, -4])
+def test_homog_principal_root_check_rejects_non_positive_d(d):
+    # d = 0 is a usage error, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="d must divide n"):
+        homog_principal_root_check(4, 2, d)
+
+
+@pytest.mark.parametrize("d", [True, 2.0, 1.0])
+def test_homog_principal_root_check_rejects_non_int_d(d):
+    with pytest.raises(TypeError, match="d must be an int"):
+        homog_principal_root_check(4, 2, d)
+
+
 def test_homog_principal_root_values_match_binomials():
     # both branches at a primitive cube root of unity (n = 6, power n/d = 2):
     # weight divisible by 3 collapses to a plain count, otherwise vanishes

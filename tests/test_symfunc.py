@@ -240,9 +240,9 @@ def test_degrees_sizes_and_parts_must_be_ints():
             (lambda: homog_eval(-1, y), "homogeneous degree must be >= 0"),
             (lambda: schur_eval((1, 2), y), "shape rows must satisfy a >= b >= 0"),
             (lambda: schur_eval((1, -1), y), "shape rows must satisfy a >= b >= 0"),
-            (lambda: build_X_typeA(2, 1), "type A needs n >= 3"),
-            (lambda: build_X_typeC(1, 1), "type C needs n >= 2"),
-            (lambda: build_X_typeD(0, 1), "type D needs n >= 1"),
+            (lambda: build_X_typeA(2, 1), "family A needs n >= 3"),
+            (lambda: build_X_typeC(1, 1), "family C needs n >= 2"),
+            (lambda: build_X_typeD(0, 1), "family D needs n >= 1"),
             (lambda: build_X_thm11(1, 6, -1), "edge count must be >= 0"),
             (lambda: build_X_thm11(0, 6, 1), "part must be 1, 2, or 3")):
         with pytest.raises(ValueError, match=message):
