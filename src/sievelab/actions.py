@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from .polygons import (
-    DIAMETER, DOTTED, SOLID, DDiameter,
+    DIAMETER, DOTTED, FAMILIES, SOLID, DDiameter,
     Multidissection, check_edge, check_size, edge_chords, edge_count,
     edge_table, enumerate_multidissections, family_rules, polygon_size,
     weighted_assignment_sum,
@@ -35,12 +35,13 @@ def declared_group_order(family: str, n: int) -> int:
 
 def resolve_step(family: str, generator_step: int | None) -> int:
     """The generator's vertex steps: the family's default for None, else one
-    of its accepted steps as a plain int (only classicalBC accepts two)."""
+    of its accepted steps as a plain int."""
     steps = family_rules(family).steps
     if generator_step is None:
         return steps[0]
     if len(steps) == 1:
-        raise ValueError("generator_step applies to classicalBC only")
+        raise ValueError("generator_step applies to %s only" % ", ".join(
+            f for f in FAMILIES if len(family_rules(f).steps) > 1))
     if type(generator_step) is not int or generator_step not in steps:
         raise ValueError("generator_step must be %s"
                          % " or ".join(map(str, sorted(steps))))

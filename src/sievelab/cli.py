@@ -24,7 +24,8 @@ from .clusterlab import (
     check_conjecture_D, verify_equivariance,
 )
 from .cspverify import (
-    THEOREM_SELECTORS, theorem_instance, verify, verify_folding_consistency,
+    THEOREM_SELECTORS, VARIANTS, theorem_instance, verify,
+    verify_folding_consistency,
 )
 from .polygons import FAMILIES, enumerate_multidissections, family_rules
 from .qseries import IntLaurentPoly
@@ -33,25 +34,6 @@ from .symfunc import ones_point, principal_point
 
 class UsageError(Exception):
     pass
-
-
-def _parse_span(single, span, flag):
-    if single is not None and span is not None:
-        raise UsageError("give either --%s or --%s-range, not both" % (flag, flag))
-    if single is not None:
-        return (single,)
-    if span is not None:
-        bits = span.split(":")
-        if len(bits) != 2:
-            raise UsageError("--%s-range wants LO:HI" % flag)
-        try:
-            lo, hi = int(bits[0]), int(bits[1])
-        except ValueError:
-            raise UsageError("--%s-range wants integer bounds" % flag)
-        if hi < lo:
-            raise UsageError("--%s-range is empty" % flag)
-        return tuple(range(lo, hi + 1))
-    raise UsageError("missing --%s or --%s-range" % (flag, flag))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +142,10 @@ REPORTS = {
 }
 AUDIT_SELECTORS = tuple(kind for kind in REPORTS if kind != "verify")
 
-# Selectors that read --family: the families swept when it is left out
-# (None: it is required) and the usage error.  Others reject it.
+# Audit selectors that read --family: the families swept when it is left
+# out (None: it is required) and the usage error.  Other audits reject it;
+# verify hands it to theorem_instance.
 _FAMILY_RULES = {
-    "orbit-poly": (None, "orbit-poly needs --family"),
     "equivariance": (None, "audit equivariance needs --family"),
     "characters": (("A", "D"), "character audits cover families A and D"),
 }
@@ -285,19 +267,16 @@ def _emit(config: argparse.Namespace, payload: dict, to_csv, to_text):
 
 
 def cmd_enumerate(config: argparse.Namespace) -> int:
-    if config.family is None:
-        raise UsageError("enumerate needs --family")
-    if len(config.n_values) != 1 or len(config.k_values) != 1:
-        raise UsageError("enumerate works on a single --n and --k")
-    n, k = config.n_values[0], config.k_values[0]
+    if config.limit is not None and config.limit < 0:
+        raise UsageError("--limit must be >= 0")
     _check_out(config.out)
-    mds = enumerate_multidissections(config.family, n, k)
+    mds = enumerate_multidissections(config.family, config.n, config.k)
     shown = mds if config.limit is None else mds[:config.limit]
     payload = {
         "command": "enumerate",
         "family": config.family,
-        "n": n,
-        "k": k,
+        "n": config.n,
+        "k": config.k,
         "count": len(mds),
         "truncated": len(shown) < len(mds),
         "items": [m.to_json_dict() for m in shown],
@@ -306,15 +285,13 @@ def cmd_enumerate(config: argparse.Namespace) -> int:
     return 0
 
 
-def _families(config: argparse.Namespace, selector: str) -> tuple:
-    """The families a sweep of `selector` runs through, innermost."""
-    if selector not in _FAMILY_RULES:
-        if config.family is not None:
-            raise UsageError("--family applies to orbit-poly only"
-                             if config.theorem else
-                             "audit %s does not take --family" % selector)
-        return (None,)
-    default, error = _FAMILY_RULES[selector]
+def _families(config: argparse.Namespace) -> tuple:
+    """The families a sweep runs through, innermost."""
+    if config.command == "verify":
+        return (config.family,)
+    default, error = _FAMILY_RULES.get(
+        config.selector,
+        ((None,), "audit %s does not take --family" % config.selector))
     if config.family is None:
         if default is None:
             raise UsageError(error)
@@ -326,18 +303,19 @@ def _families(config: argparse.Namespace, selector: str) -> tuple:
 
 def cmd_sweep(config: argparse.Namespace) -> int:
     """verify and audit: one report per (n, k, family); 1 if any fails."""
-    selector = config.theorem or config.audit
-    kind = "verify" if config.theorem else selector
-    extra = (selector, config.variant, config.generator_step) \
-        if config.theorem else ()
-    families = _families(config, selector)
-    tasks = [(kind, f, n, k) + extra for n in config.n_values
-             for k in config.k_values for f in families]
+    verifying = config.command == "verify"
+    kind = "verify" if verifying else config.selector
+    extra = (config.selector, config.variant, config.generator_step) \
+        if verifying else ()
+    families = _families(config)
+    tasks = [(kind, f, n, k) + extra
+             for n in config.n_range or (config.n,)
+             for k in config.k_range or (config.k,) for f in families]
     _check_out(config.out)
     reports = _run_all(tasks, config.workers)
     all_pass = all(r["pass"] for r in reports)
     payload = {"command": config.command, "reports": reports,
-               "theorem" if config.theorem else "selector": selector,
+               "theorem" if verifying else "selector": config.selector,
                "all_pass": all_pass}
     _emit(config, payload, partial(_csv, REPORTS[kind]),
           partial(_text, REPORTS[kind]))
@@ -349,75 +327,69 @@ def cmd_sweep(config: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _span(text: str) -> tuple[int, ...]:
+    """`LO:HI` as the ints from LO to HI, both included."""
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError("wants LO:HI with integer bounds")
+    if hi < lo:
+        raise argparse.ArgumentTypeError("%s is empty" % text)
+    return tuple(range(lo, hi + 1))
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares the options it reads; argparse rejects the
+    rest."""
     parser = argparse.ArgumentParser(
         prog="sievelab",
         description="Exact cyclic sieving verification for polygon "
                     "multidissections.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--family", choices=FAMILIES)
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-range", metavar="LO:HI")
-        p.add_argument("--k", type=int)
-        p.add_argument("--k-range", metavar="LO:HI")
-        p.add_argument("--variant", choices=("printed", "shifted"))
-        p.add_argument("--generator-step", type=int, choices=(1, 2))
+    def output(p, run):
         p.add_argument("--format", dest="fmt",
                        choices=("json", "csv", "text"), default="json")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out")
+        p.add_argument("--workers", type=int, default=1)
+        p.set_defaults(run=run)
+
+    def sweep(p):
+        p.add_argument("--family", choices=FAMILIES)
+        for name in ("n", "k"):
+            span = p.add_mutually_exclusive_group(required=True)
+            span.add_argument("--" + name, type=int)
+            span.add_argument("--%s-range" % name, type=_span, metavar="LO:HI")
+        output(p, cmd_sweep)
         p.add_argument("--exploratory", action="store_true")
-        p.add_argument("--limit", type=int)
 
     pe = sub.add_parser("enumerate", help="list multidissections")
-    common(pe)
+    pe.add_argument("--family", choices=FAMILIES, required=True)
+    pe.add_argument("--n", type=int, required=True)
+    pe.add_argument("--k", type=int, required=True)
+    pe.add_argument("--limit", type=int)
+    output(pe, cmd_enumerate)  # --workers is accepted here, and unread
 
     pv = sub.add_parser("verify", help="check sieving statements")
-    pv.add_argument("--theorem", choices=THEOREM_SELECTORS, required=True)
-    common(pv)
+    pv.add_argument("--theorem", dest="selector", choices=THEOREM_SELECTORS,
+                    required=True)
+    pv.add_argument("--variant", choices=VARIANTS)
+    pv.add_argument("--generator-step", type=int)
+    sweep(pv)
 
     pa = sub.add_parser("audit", help="run algebra audits")
     pa.add_argument("selector", choices=AUDIT_SELECTORS)
-    common(pa)
+    sweep(pa)
 
     return parser
 
 
-def _config_from_args(args) -> argparse.Namespace:
-    """`args`, checked, with the swept values and the selectors filled
-    in."""
-    if args.limit is not None and args.limit < 0:
-        raise UsageError("--limit must be >= 0")
-    args.theorem = getattr(args, "theorem", None)
-    args.audit = getattr(args, "selector", None)
-    if args.generator_step is not None and not (
-            args.theorem == "thm1.1-2"
-            or (args.theorem == "orbit-poly" and args.family == "classicalBC")):
-        raise UsageError("--generator-step applies to verify --theorem "
-                         "thm1.1-2 and orbit-poly --family classicalBC only")
-    if args.variant is not None and args.theorem != "thm1.1-2":
-        raise UsageError("--variant applies to verify --theorem thm1.1-2 only")
-    if args.limit is not None and args.command != "enumerate":
-        raise UsageError("--limit applies to enumerate only")
-    if args.exploratory and args.command == "enumerate":
-        raise UsageError("--exploratory applies to verify and audit only")
-    args.n_values = _parse_span(args.n, args.n_range, "n")
-    args.k_values = _parse_span(args.k, args.k_range, "k")
-    if args.workers < 1:
-        raise UsageError("worker count must be >= 1")
-    return args
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    config = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if config.command == "enumerate":
-            return cmd_enumerate(config)
-        return cmd_sweep(config)
+        if config.workers < 1:
+            raise UsageError("worker count must be >= 1")
+        return config.run(config)
     except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

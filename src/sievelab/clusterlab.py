@@ -136,6 +136,8 @@ GR_INV_2I = GaussRat(0, Fraction(-1, 2))
 
 
 def var_index(row: int, col: int, nrows: int) -> int:
+    row, col, nrows = (_exact_int(row, "row"), _exact_int(col, "column"),
+                       _exact_int(nrows, "row count"))
     if not (1 <= row <= nrows and col in (1, 2)):
         raise ValueError("variable x_{%d,%d} outside the %d x 2 matrix"
                          % (row, col, nrows))
@@ -383,6 +385,8 @@ class XPoly:
 
 def minor(i: int, j: int, nrows: int) -> XPoly:
     """The 2x2 minor on rows i < j: x_{i1} x_{j2} - x_{i2} x_{j1}."""
+    i, j, nrows = (_exact_int(i, "row"), _exact_int(j, "row"),
+                   _exact_int(nrows, "row count"))
     if not 1 <= i < j <= nrows:
         raise ValueError("minor needs 1 <= i < j <= %d, got (%d, %d)"
                          % (nrows, i, j))
@@ -479,6 +483,7 @@ def z_D(f: Multidissection) -> XPoly:
 
 
 def j_generator(n: int) -> XPoly:
+    n = _exact_int(n, "n")
     return minor(n + 1, n + 2, n + 2)
 
 
@@ -489,7 +494,7 @@ def j_reduce(p: XPoly, n: int) -> XPoly:
     members.  A monomial holding the leading product t times is rewritten
     t times in one step: x_{n+1,1}^t x_{n+2,2}^t becomes
     x_{n+1,2}^t x_{n+2,1}^t, with the same coefficient."""
-    N = n + 2
+    N = _exact_int(n, "n") + 2
     if p.nrows != N:
         raise ValueError("expected the %d-row ambient ring" % N)
     lead_a, lead_b = _unit(N, n + 1, 1), _unit(N, n + 2, 2)

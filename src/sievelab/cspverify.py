@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .actions import (
     declared_group_order, fixed_count_vector, fold_target_param, resolve_step,
@@ -26,23 +26,36 @@ from .symfunc import (
     homog_eval, ones_point, principal_point,
 )
 
-# selector -> (its family, or None where the caller names one; its
-# polynomial from (family, n, k, variant, generator_step)).  A builder looks
-# its function up when called, so a rebound module global takes effect.
+
+class _Theorem(NamedTuple):
+    """A selector's rules: its family (None where the caller names one),
+    the variants it takes (the default first) and its polynomial from
+    (family, n, k, variant, generator_step).  A builder looks its function
+    up when called, so a rebound module global takes effect."""
+    family: str | None
+    variants: tuple[str, ...]
+    build: Callable[..., IntLaurentPoly]
+
+
 _THEOREMS = {
-    "thm2.5": ("A", lambda family, n, k, variant, step: build_X_typeA(n, k)),
-    "thm3.4": ("C", lambda family, n, k, variant, step: build_X_typeC(n, k)),
-    "thm4.6": ("D", lambda family, n, k, variant, step: build_X_typeD(n, k)),
-    "thm1.1-1": ("classicalA", lambda family, n, k, variant, step:
-                 build_X_thm11(1, n, k)),
-    "thm1.1-2": ("classicalBC", lambda family, n, k, variant, step:
-                 build_X_thm11(2, n, k, variant)),
-    "thm1.1-3": ("classicalD", lambda family, n, k, variant, step:
-                 build_X_thm11(3, n, k)),
-    "orbit-poly": (None, lambda family, n, k, variant, step:
-                   orbit_polynomial(family, n, k, step)),
+    "thm2.5": _Theorem("A", (), lambda family, n, k, variant, step:
+                       build_X_typeA(n, k)),
+    "thm3.4": _Theorem("C", (), lambda family, n, k, variant, step:
+                       build_X_typeC(n, k)),
+    "thm4.6": _Theorem("D", (), lambda family, n, k, variant, step:
+                       build_X_typeD(n, k)),
+    "thm1.1-1": _Theorem("classicalA", (), lambda family, n, k, variant, step:
+                         build_X_thm11(1, n, k)),
+    "thm1.1-2": _Theorem("classicalBC", ("printed", "shifted"),
+                         lambda family, n, k, variant, step:
+                         build_X_thm11(2, n, k, variant)),
+    "thm1.1-3": _Theorem("classicalD", (), lambda family, n, k, variant, step:
+                         build_X_thm11(3, n, k)),
+    "orbit-poly": _Theorem(None, (), lambda family, n, k, variant, step:
+                           orbit_polynomial(family, n, k, step)),
 }
 THEOREM_SELECTORS = tuple(_THEOREMS)
+VARIANTS = tuple(v for row in _THEOREMS.values() for v in row.variants)
 
 
 @dataclass(frozen=True)
@@ -121,24 +134,27 @@ def verify(instance: CspInstance) -> CspReport:
 def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
                      generator_step: int | None = None,
                      family: str | None = None) -> CspInstance:
-    """Build the verification instance for a named result.  Only
-    thm1.1-2 takes a `variant`, and None there means "printed"; only
-    orbit-poly takes a `family`, and needs one.  A `generator_step` is
-    passed through, so any family but classicalBC rejects it."""
-    if variant is not None and selector != "thm1.1-2":
-        raise ValueError("variant applies to thm1.1-2 only")
-    if family is not None and selector != "orbit-poly":
-        raise ValueError("family applies to orbit-poly only")
+    """Build the verification instance for a named result from its
+    `_THEOREMS` row: a `variant` only where the row lists some (None is
+    the first), a `family` where the row has none and nowhere else, and a
+    `generator_step` that the family takes, checked before the build."""
     if selector not in THEOREM_SELECTORS:
         raise ValueError("unknown selector %r (expected one of %s)"
                          % (selector, ", ".join(THEOREM_SELECTORS)))
-    own_family, build = _THEOREMS[selector]
-    family = own_family or family
+    row = _THEOREMS[selector]
+    if variant is not None and not row.variants:
+        raise ValueError("variant applies to %s only" % ", ".join(
+            s for s, r in _THEOREMS.items() if r.variants))
+    if family is not None and row.family is not None:
+        raise ValueError("family applies to %s only" % ", ".join(
+            s for s, r in _THEOREMS.items() if r.family is None))
+    family = row.family or family
     if family is None:
-        raise ValueError("orbit-poly needs an explicit family")
-    if selector == "thm1.1-2" and variant is None:
-        variant = "printed"
-    polynomial = build(family, n, k, variant, generator_step)
+        raise ValueError("%s needs an explicit family" % selector)
+    resolve_step(family, generator_step)
+    if variant is None and row.variants:
+        variant = row.variants[0]
+    polynomial = row.build(family, n, k, variant, generator_step)
     return CspInstance(family, n, k, polynomial, variant=variant,
                        generator_step=generator_step, label=selector)
 

@@ -118,6 +118,7 @@ class DPairInt:
 
 
 def polygon_size(family: str, n: int) -> int:
+    n = _exact_int(n, "n")
     return n if family_rules(family).base == "A" else 2 * n
 
 

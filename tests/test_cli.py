@@ -310,6 +310,7 @@ def test_negative_edge_count_is_a_usage_error(capsys, selector):
     ["verify", "--theorem", "orbit-poly", "--family", "C", "--n", "3", "--k", "1"],
     ["audit", "basis-A", "--n", "3", "--k", "1"],
     ["audit", "equivariance", "--family", "classicalBC", "--n", "3", "--k", "2"],
+    ["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1", "--exploratory"],
 ])
 def test_generator_step_rejected_where_unread(capsys, argv):
     code, out = run(capsys, argv + ["--generator-step", "1"])
@@ -336,6 +337,7 @@ def test_generator_step_accepted_for_classicalBC(capsys, argv):
      "--n", "3", "--k", "1"],
     ["enumerate", "--family", "A", "--n", "4", "--k", "1"],
     ["audit", "basis-A", "--n", "3", "--k", "1"],
+    ["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1", "--exploratory"],
 ])
 @pytest.mark.parametrize("variant", ["printed", "shifted"])
 def test_variant_rejected_where_unread(capsys, argv, variant):
@@ -351,6 +353,20 @@ def test_variant_rejected_where_unread(capsys, argv, variant):
 ])
 def test_limit_rejected_where_unread(capsys, argv):
     code, out = run(capsys, argv + ["--limit", "3"])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    # the ranges that enumerate does not declare, next to a valid --n
+    ["enumerate", "--family", "A", "--n", "4", "--k", "1", "--n-range", "3:4"],
+    ["enumerate", "--family", "A", "--n", "4", "--k", "1", "--k-range", "1:2"],
+    # a declared option with a value the family does not take
+    ["verify", "--theorem", "orbit-poly", "--family", "classicalBC",
+     "--n", "3", "--k", "1", "--generator-step", "3"],
+])
+def test_option_rejected_where_unread(capsys, argv):
+    code, out = run(capsys, argv)
     assert code == 2
     assert out == ""
 

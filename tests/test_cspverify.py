@@ -203,6 +203,25 @@ def test_theorem_instance_validation():
         "orbit-poly"}
 
 
+def _never_built(*args):
+    raise AssertionError("built a polynomial for a rejected step")
+
+
+@pytest.mark.parametrize("selector, family, step, builder", [
+    ("thm1.1-1", None, 1, "build_X_thm11"),
+    ("thm2.5", None, 2, "build_X_typeA"),
+    ("orbit-poly", "C", 1, "orbit_polynomial"),
+    ("orbit-poly", "classicalBC", 3, "orbit_polynomial"),
+    ("thm1.1-2", None, 3, "build_X_thm11"),
+])
+def test_theorem_instance_rejects_a_step_before_building(
+        monkeypatch, selector, family, step, builder):
+    # at (80, 30) the thm1.1-1 polynomial alone takes most of a second
+    monkeypatch.setattr(cspverify, builder, _never_built)
+    with pytest.raises(ValueError, match="generator_step"):
+        theorem_instance(selector, 80, 30, generator_step=step, family=family)
+
+
 def test_csp_instance_validates_group_order():
     # the group order is the family's declared one, not an argument
     with pytest.raises(TypeError):

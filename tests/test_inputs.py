@@ -12,13 +12,14 @@ from sievelab.actions import (
     odd_power_correspondence,
 )
 from sievelab.clusterlab import (
-    _factor_power, character_sum_A, character_sum_D, expected_dim_D,
-    lemma_basis_multidissections, rotation_substitution,
+    XPoly, _factor_power, character_sum_A, character_sum_D, expected_dim_D,
+    j_generator, j_member, j_reduce, lemma_basis_multidissections, minor,
+    rotation_substitution, var_index,
 )
 from sievelab.cspverify import homog_principal_root_check
 from sievelab.polygons import (
     check_size, edge_count, edge_table, enumerate_multidissections,
-    iter_weighted_assignments, min_n, weighted_assignment_sum,
+    iter_weighted_assignments, min_n, polygon_size, weighted_assignment_sum,
 )
 from sievelab.symfunc import (
     build_X_thm11, build_X_typeA, build_X_typeC, build_X_typeD,
@@ -47,6 +48,7 @@ ENTRY_POINTS = [
     ("weighted_assignment_sum target",
      lambda v: weighted_assignment_sum([1, 1], v, [0, 0], [1, 1])),
     ("declared_group_order n", lambda v: declared_group_order("D", v)),
+    ("polygon_size n", lambda v: polygon_size("C", v)),
     ("fixed_count_vector n", lambda v: fixed_count_vector("D", v, 1, None)),
     ("fixed_count_vector k", lambda v: fixed_count_vector("D", 2, v, None)),
     ("count_fixed d", lambda v: count_fixed("D", 2, 1, v)),
@@ -84,6 +86,18 @@ ENTRY_POINTS = [
     ("expected_dim_D n", lambda v: expected_dim_D(v, 1)),
     ("expected_dim_D k", lambda v: expected_dim_D(2, v)),
     ("rotation_substitution n", lambda v: rotation_substitution("D", v)),
+    ("var_index row", lambda v: var_index(v, 1, 2)),
+    ("var_index column", lambda v: var_index(1, v, 2)),
+    ("var_index rows", lambda v: var_index(1, 1, v)),
+    ("XPoly.variable rows", lambda v: XPoly.variable(v, 1, 1)),
+    ("XPoly.variable row", lambda v: XPoly.variable(2, v, 1)),
+    ("XPoly.variable column", lambda v: XPoly.variable(2, 1, v)),
+    ("minor i", lambda v: minor(v, 3, 3)),
+    ("minor j", lambda v: minor(1, v, 3)),
+    ("minor rows", lambda v: minor(1, 2, v)),
+    ("j_generator n", lambda v: j_generator(v)),
+    ("j_reduce n", lambda v: j_reduce(minor(1, 2, 3), v)),
+    ("j_member n", lambda v: j_member(minor(1, 2, 3), v)),
     ("_factor_power n", lambda v: _factor_power("D", v, 0, 1)),
     ("enumerate_ssyt row 1", lambda v: enumerate_ssyt((v, 0), 3)),
     ("enumerate_ssyt row 2", lambda v: enumerate_ssyt((2, v), 3)),
