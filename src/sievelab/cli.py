@@ -24,16 +24,12 @@ from .clusterlab import (
     check_conjecture_D, verify_equivariance,
 )
 from .cspverify import (
-    THEOREM_SELECTORS, VARIANTS, theorem_instance, verify,
+    THEOREM_SELECTORS, VARIANTS, theorem_instance, theorem_rules, verify,
     verify_folding_consistency,
 )
 from .polygons import FAMILIES, enumerate_multidissections, family_rules
 from .qseries import IntLaurentPoly
 from .symfunc import ones_point, principal_point
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +89,16 @@ class Report(NamedTuple):
     report dict; it looks library functions up by name when called, so
     they can be rebound.  csv writes a report's `columns`, then a row per
     item of its list `entries` with `entry_columns`; text writes
-    `line % report`, then `mismatch % item` per failing item."""
+    `line % report`, then `mismatch % item` per failing item.  An audit
+    declares `--family` with the keyword arguments `family_option`, or
+    not at all where that is None; left out, it sweeps the choices."""
     run: Callable[..., dict]
     columns: tuple[str, ...]
     line: str
     entries: str | None = None
     entry_columns: tuple[str, ...] = ()
     mismatch: str | None = None
+    family_option: dict | None = None
 
 
 _BASIS_COLUMNS = ("family", "n", "k", "count", "rank", "expected_dim", "pass")
@@ -129,11 +128,12 @@ REPORTS = {
         lambda family, n, k: verify_equivariance(family, n, k).to_json_dict(),
         ("family", "n", "k", "mode", "total", "failures", "pass"),
         "equivariance family=%(family)s n=%(n)d k=%(k)d mode=%(mode)s"
-        " total=%(total)d pass=%(pass)s"),
+        " total=%(total)d pass=%(pass)s",
+        family_option={"choices": FAMILIES, "required": True}),
     "characters": Report(
         _character_report, ("family", "n", "k"),
         "characters family=%(family)s n=%(n)d k=%(k)d pass=%(pass)s",
-        "points", ("point", "pass")),
+        "points", ("point", "pass"), family_option={"choices": ("A", "D")}),
     "folding": Report(
         lambda family, n, k: verify_folding_consistency(n, k).to_json_dict(),
         ("n", "k"), "folding n=%(n)d k=%(k)d pass=%(pass)s",
@@ -141,14 +141,6 @@ REPORTS = {
         "  d=%(d)d %(parity)s fixed=%(fixed)d expected=%(expected)d MISMATCH"),
 }
 AUDIT_SELECTORS = tuple(kind for kind in REPORTS if kind != "verify")
-
-# Audit selectors that read --family: the families swept when it is left
-# out (None: it is required) and the usage error.  Other audits reject it;
-# verify hands it to theorem_instance.
-_FAMILY_RULES = {
-    "equivariance": (None, "audit equivariance needs --family"),
-    "characters": (("A", "D"), "character audits cover families A and D"),
-}
 
 
 def _run_task(task: tuple) -> dict:
@@ -241,7 +233,7 @@ def _check_out(path: str | None):
         code = errno.EACCES
     else:
         return
-    raise UsageError("cannot write %s: %s" % (path, os.strerror(code)))
+    raise ValueError("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _emit(config: argparse.Namespace, payload: dict, to_csv, to_text):
@@ -258,7 +250,7 @@ def _emit(config: argparse.Namespace, payload: dict, to_csv, to_text):
         with open(config.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError("cannot write %s: %s" % (config.out, exc.strerror))
+        raise ValueError("cannot write %s: %s" % (config.out, exc.strerror))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +260,7 @@ def _emit(config: argparse.Namespace, payload: dict, to_csv, to_text):
 
 def cmd_enumerate(config: argparse.Namespace) -> int:
     if config.limit is not None and config.limit < 0:
-        raise UsageError("--limit must be >= 0")
+        raise ValueError("--limit must be >= 0")
     _check_out(config.out)
     mds = enumerate_multidissections(config.family, config.n, config.k)
     shown = mds if config.limit is None else mds[:config.limit]
@@ -285,29 +277,16 @@ def cmd_enumerate(config: argparse.Namespace) -> int:
     return 0
 
 
-def _families(config: argparse.Namespace) -> tuple:
-    """The families a sweep runs through, innermost."""
-    if config.command == "verify":
-        return (config.family,)
-    default, error = _FAMILY_RULES.get(
-        config.selector,
-        ((None,), "audit %s does not take --family" % config.selector))
-    if config.family is None:
-        if default is None:
-            raise UsageError(error)
-        return default
-    if default is not None and config.family not in default:
-        raise UsageError(error)
-    return (config.family,)
-
-
 def cmd_sweep(config: argparse.Namespace) -> int:
     """verify and audit: one report per (n, k, family); 1 if any fails."""
     verifying = config.command == "verify"
     kind = "verify" if verifying else config.selector
     extra = (config.selector, config.variant, config.generator_step) \
         if verifying else ()
-    families = _families(config)
+    if verifying:  # the theorem's rules, before any task runs
+        theorem_rules(*extra, config.family)
+    families = (config.family,) if config.family \
+        else (REPORTS[kind].family_option or {}).get("choices", (None,))
     tasks = [(kind, f, n, k) + extra
              for n in config.n_range or (config.n,)
              for k in config.k_range or (config.k,) for f in families]
@@ -355,13 +334,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
 
     def sweep(p):
-        p.add_argument("--family", choices=FAMILIES)
+        p.set_defaults(family=None)  # where --family is not declared
         for name in ("n", "k"):
             span = p.add_mutually_exclusive_group(required=True)
             span.add_argument("--" + name, type=int)
             span.add_argument("--%s-range" % name, type=_span, metavar="LO:HI")
         output(p, cmd_sweep)
         p.add_argument("--exploratory", action="store_true")
+        return p
 
     pe = sub.add_parser("enumerate", help="list multidissections")
     pe.add_argument("--family", choices=FAMILIES, required=True)
@@ -375,11 +355,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     required=True)
     pv.add_argument("--variant", choices=VARIANTS)
     pv.add_argument("--generator-step", type=int)
+    pv.add_argument("--family", choices=FAMILIES)
     sweep(pv)
 
     pa = sub.add_parser("audit", help="run algebra audits")
-    pa.add_argument("selector", choices=AUDIT_SELECTORS)
-    sweep(pa)
+    audits = pa.add_subparsers(dest="selector", required=True)
+    # built once; each audit's parser copies it, cheaper than six builds
+    shared = sweep(argparse.ArgumentParser(add_help=False))
+    for selector in AUDIT_SELECTORS:
+        p = audits.add_parser(selector, parents=[shared])
+        if REPORTS[selector].family_option:
+            p.add_argument("--family", **REPORTS[selector].family_option)
 
     return parser
 
@@ -388,9 +374,9 @@ def main(argv=None) -> int:
     config = _build_parser().parse_args(argv)
     try:
         if config.workers < 1:
-            raise UsageError("worker count must be >= 1")
+            raise ValueError("worker count must be >= 1")
         return config.run(config)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -885,7 +885,7 @@ def check_conjecture_D(n: int, k: int) -> ConjectureReport:
     is tested by dimension count against the proven reference basis.  A
     pass is evidence at this (n, k) only, never a proof.
     """
-    if n < 2:
+    if _exact_int(n, "n") < 2:
         raise ValueError("the audit needs n >= 2")
     mds = enumerate_multidissections("D", n, k)
     basis_d = [z_D(f) for f in mds]

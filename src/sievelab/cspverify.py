@@ -22,8 +22,8 @@ from .qseries import (
     IntLaurentPoly, RootEvaluation, _exact_int, eval_at_unity_root,
 )
 from .symfunc import (
-    build_X_thm11, build_X_typeA, build_X_typeC, build_X_typeD,
-    homog_eval, ones_point, principal_point,
+    THM11_VARIANTS, build_X_thm11, build_X_typeA, build_X_typeC,
+    build_X_typeD, homog_eval, ones_point, principal_point,
 )
 
 
@@ -46,7 +46,7 @@ _THEOREMS = {
                        build_X_typeD(n, k)),
     "thm1.1-1": _Theorem("classicalA", (), lambda family, n, k, variant, step:
                          build_X_thm11(1, n, k)),
-    "thm1.1-2": _Theorem("classicalBC", ("printed", "shifted"),
+    "thm1.1-2": _Theorem("classicalBC", THM11_VARIANTS,
                          lambda family, n, k, variant, step:
                          build_X_thm11(2, n, k, variant)),
     "thm1.1-3": _Theorem("classicalD", (), lambda family, n, k, variant, step:
@@ -131,13 +131,13 @@ def verify(instance: CspInstance) -> CspReport:
     return CspReport(instance, tuple(checks))
 
 
-def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
-                     generator_step: int | None = None,
-                     family: str | None = None) -> CspInstance:
-    """Build the verification instance for a named result from its
-    `_THEOREMS` row: a `variant` only where the row lists some (None is
-    the first), a `family` where the row has none and nowhere else, and a
-    `generator_step` that the family takes, checked before the build."""
+def theorem_rules(selector: str, variant: str | None = None,
+                  generator_step: int | None = None,
+                  family: str | None = None) -> tuple[str, str | None]:
+    """Check a request against its `_THEOREMS` row, building nothing: a
+    `variant` only where the row lists some (None is the first), a `family`
+    where the row has none and nowhere else, and a `generator_step` that
+    the family takes.  Returns the resolved (family, variant)."""
     if selector not in THEOREM_SELECTORS:
         raise ValueError("unknown selector %r (expected one of %s)"
                          % (selector, ", ".join(THEOREM_SELECTORS)))
@@ -154,7 +154,16 @@ def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
     resolve_step(family, generator_step)
     if variant is None and row.variants:
         variant = row.variants[0]
-    polynomial = row.build(family, n, k, variant, generator_step)
+    return family, variant
+
+
+def theorem_instance(selector: str, n: int, k: int, variant: str | None = None,
+                     generator_step: int | None = None,
+                     family: str | None = None) -> CspInstance:
+    """Build the verification instance for a named result."""
+    family, variant = theorem_rules(selector, variant, generator_step, family)
+    polynomial = _THEOREMS[selector].build(family, n, k, variant,
+                                           generator_step)
     return CspInstance(family, n, k, polynomial, variant=variant,
                        generator_step=generator_step, label=selector)
 
@@ -230,7 +239,7 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
     powers: they match the invariant centrally symmetric multidissections
     with half the edges (none when k is odd).
     """
-    if n < 2:
+    if _exact_int(n, "n") < 2:
         raise ValueError("needs n >= 2")
     counts = fixed_count_vector("D", n, k, None)
     # odd powers compare with centrally symmetric objects of half the

@@ -125,7 +125,11 @@ def _qbinom_or_zero(m: int, r: int) -> IntLaurentPoly:
     return q_binomial(m, r)
 
 
-def build_X_thm11(part: int, n: int, k: int, variant: str = "printed") -> IntLaurentPoly:
+THM11_VARIANTS = ("printed", "shifted")  # part 2's pairs, the default first
+
+
+def build_X_thm11(part: int, n: int, k: int,
+                  variant: str = THM11_VARIANTS[0]) -> IntLaurentPoly:
     """Classical single-use dissection sieving polynomials.
 
     part 1: plain polygon dissections, a q-Fuss-Catalan product whose
@@ -137,7 +141,7 @@ def build_X_thm11(part: int, n: int, k: int, variant: str = "printed") -> IntLau
     part 3: colored dissections, a four-term sum of q^2-binomials where
             out-of-range binomials vanish.
     """
-    if variant not in ("printed", "shifted"):
+    if variant not in THM11_VARIANTS:
         raise ValueError("variant must be 'printed' or 'shifted'")
     edge_count(k)
     part = _exact_int(part, "part")

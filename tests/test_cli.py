@@ -7,6 +7,7 @@ import pytest
 
 from sievelab import cli
 from sievelab.cli import main
+from sievelab.cspverify import theorem_instance
 
 
 def run(capsys, argv):
@@ -174,6 +175,37 @@ def test_audit_equivariance_requires_family(capsys):
 def test_audit_basis_rejects_family_flag(capsys):
     code, _ = run(capsys, ["audit", "basis-A", "--family", "A", "--n", "4", "--k", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis-C", "--family", "C", "--n", "3", "--k", "1"],
+    ["conjecture-D", "--family", "D", "--n", "3", "--k", "1"],
+    ["folding", "--family", "D", "--n", "3", "--k", "1"],
+    # the character audits cover families A and D only
+    ["characters", "--family", "C", "--n", "3", "--k", "1"],
+], ids=["basis-C", "conjecture-D", "folding", "characters-C"])
+def test_audit_rejects_family_where_unread(capsys, argv):
+    # an argparse usage error, before any audit runs
+    with pytest.raises(SystemExit) as stop:
+        main(["audit"] + argv)
+    captured = capsys.readouterr()
+    assert (stop.value.code, captured.out) == (2, "")
+    assert "--family" in captured.err
+
+
+def test_only_equivariance_and_characters_declare_family():
+    # argparse and the REPORTS rows agree on which audits take --family
+    declared = {s for s in cli.AUDIT_SELECTORS
+                if cli.REPORTS[s].family_option}
+    parsed = set()
+    for selector in cli.AUDIT_SELECTORS:
+        try:
+            cli._build_parser().parse_args(
+                ["audit", selector, "--family", "A", "--n", "4", "--k", "1"])
+        except SystemExit:
+            continue
+        parsed.add(selector)
+    assert declared == parsed == {"equivariance", "characters"}
 
 
 def test_audit_characters(capsys):
@@ -474,6 +506,32 @@ def test_out_write_error_is_usage_error(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: cannot write %s: Is a directory\n" % tmp_path
+
+
+def _must_not_start(*args):
+    raise AssertionError("tasks ran before the theorem's rules were checked")
+
+
+@pytest.mark.parametrize("selector, options, rule", [
+    ("thm2.5", ["--family", "C"], {"family": "C"}),
+    ("thm2.5", ["--variant", "shifted"], {"variant": "shifted"}),
+    ("orbit-poly", ["--family", "A", "--generator-step", "1"],
+     {"family": "A", "generator_step": 1}),
+    ("orbit-poly", [], {}),
+], ids=["thm2.5-family", "thm2.5-variant", "orbit-poly-step",
+        "orbit-poly-no-family"])
+def test_verify_rules_checked_before_any_task(monkeypatch, capsys, selector,
+                                              options, rule):
+    # a rejected combination exits 2 with the library's message, and no
+    # task (nor the pool of --workers 2) is started
+    with pytest.raises(ValueError) as library:
+        theorem_instance(selector, 4, 1, **rule)
+    monkeypatch.setattr(cli, "_run_all", _must_not_start)
+    code = main(["verify", "--theorem", selector, "--n-range", "4:6",
+                 "--k", "1", "--workers", "2"] + options)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: %s\n" % library.value
 
 
 def test_out_check_neither_creates_nor_truncates(monkeypatch, tmp_path):

@@ -12,6 +12,7 @@ from sievelab.cspverify import (
     homog_principal_root_check,
     orbit_polynomial,
     theorem_instance,
+    theorem_rules,
     verify,
     verify_folding_consistency,
 )
@@ -220,6 +221,24 @@ def test_theorem_instance_rejects_a_step_before_building(
     monkeypatch.setattr(cspverify, builder, _never_built)
     with pytest.raises(ValueError, match="generator_step"):
         theorem_instance(selector, 80, 30, generator_step=step, family=family)
+
+
+@pytest.mark.parametrize("selector, options, resolved", [
+    ("thm2.5", {}, ("A", None)),
+    ("thm1.1-2", {}, ("classicalBC", "printed")),
+    ("thm1.1-2", {"variant": "shifted", "generator_step": 2},
+     ("classicalBC", "shifted")),
+    ("orbit-poly", {"family": "D"}, ("D", None)),
+])
+def test_theorem_rules_resolve_without_building(monkeypatch, selector,
+                                               options, resolved):
+    # the rules give the family and the default variant, and build nothing
+    def build(*args):
+        raise AssertionError("theorem_rules built a polynomial")
+
+    for builder in ("build_X_typeA", "build_X_thm11", "orbit_polynomial"):
+        monkeypatch.setattr(cspverify, builder, build)
+    assert theorem_rules(selector, **options) == resolved
 
 
 def test_csp_instance_validates_group_order():

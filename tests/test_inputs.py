@@ -12,11 +12,13 @@ from sievelab.actions import (
     odd_power_correspondence,
 )
 from sievelab.clusterlab import (
-    XPoly, _factor_power, character_sum_A, character_sum_D, expected_dim_D,
-    j_generator, j_member, j_reduce, lemma_basis_multidissections, minor,
-    rotation_substitution, var_index,
+    XPoly, _factor_power, character_sum_A, character_sum_D, check_conjecture_D,
+    expected_dim_D, j_generator, j_member, j_reduce,
+    lemma_basis_multidissections, minor, rotation_substitution, var_index,
 )
-from sievelab.cspverify import homog_principal_root_check
+from sievelab.cspverify import (
+    homog_principal_root_check, verify_folding_consistency,
+)
 from sievelab.polygons import (
     check_size, edge_count, edge_table, enumerate_multidissections,
     iter_weighted_assignments, min_n, polygon_size, weighted_assignment_sum,
@@ -109,6 +111,9 @@ ENTRY_POINTS = [
      lambda v: homog_principal_root_check(v, 2, 1)),
     ("homog_principal_root_check d",
      lambda v: homog_principal_root_check(4, 2, v)),
+    ("check_conjecture_D n", lambda v: check_conjecture_D(v, 2)),
+    ("verify_folding_consistency n",
+     lambda v: verify_folding_consistency(v, 2)),
 ]
 
 
