@@ -16,12 +16,12 @@ symmetric family.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .polygons import (
-    DIAMETER, DOTTED, FAMILIES, SOLID, DDiameter,
-    Multidissection, check_edge, check_size, edge_chords, edge_count,
-    edge_table, enumerate_multidissections, family_rules, polygon_size,
+    DIAMETER, DOTTED, FAMILIES, SOLID, Multidissection, check_edge,
+    check_size, edge_chords, edge_count, edge_table,
+    enumerate_multidissections, family_rules, polygon_size,
     weighted_assignment_sum,
 )
 from .qseries import _exact_int
@@ -48,16 +48,35 @@ def resolve_step(family: str, generator_step: int | None) -> int:
     return generator_step
 
 
+def _orbits(perm: tuple) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation `perm` of range(len(perm)), each from
+    its least point, in order of those points; the one permutation walk."""
+    seen = [False] * len(perm)
+    orbits = []
+    for start in range(len(perm)):
+        orbit, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            orbit.append(x)
+            x = perm[x]
+        if orbit:
+            orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+@lru_cache(maxsize=32, typed=True)
 def _permutation(family: str, n: int, d: int,
                  generator_step: int | None) -> tuple[int, ...]:
-    """generator^d as a permutation of edge indices."""
+    """generator^d as a permutation of edge indices: each orbit of the
+    one-vertex-step rotation turned d * step places, at a cost that does
+    not grow with d.  The last 32 are kept, keyed by type too."""
     if _exact_int(d, "power") < 0:
         raise ValueError("power must be >= 0")
-    rotation = edge_table(family, n).rotation
-    perm = tuple(range(len(rotation)))
-    for _ in range(d * resolve_step(family, generator_step)):
-        perm = tuple(rotation[i] for i in perm)
-    return perm
+    shift = d * resolve_step(family, generator_step)
+    turned = {x: orbit[(i + shift) % len(orbit)]
+              for orbit in _orbits(edge_table(family, n).rotation)
+              for i, x in enumerate(orbit)}
+    return tuple(turned[x] for x in range(len(turned)))
 
 
 def rotate_edge(family: str, n: int, e, generator_step: int | None = None):
@@ -87,13 +106,8 @@ def is_fixed(md: Multidissection, d: int,
 
 
 def action_order(family: str, n: int, generator_step: int | None = None) -> int:
-    """Exact order of the generator on the full edge set."""
-    gen = _permutation(family, n, 1, generator_step)
-    order, perm = 1, gen
-    while perm != tuple(range(len(gen))):
-        perm = tuple(gen[i] for i in perm)
-        order += 1
-    return order
+    """Exact order of the generator: the lcm of its orbit lengths."""
+    return lcm(*map(len, _orbits(_permutation(family, n, 1, generator_step))))
 
 
 def _fixed_count(family: str, n: int, k: int, perm: tuple) -> int:
@@ -106,16 +120,8 @@ def _fixed_count(family: str, n: int, k: int, perm: tuple) -> int:
     weights, two orbits conflict when any of their edges cross, and an
     orbit that crosses itself can never be chosen."""
     table = edge_table(family, n)
-    orbit_of = [-1] * len(perm)
-    orbits = []
-    for start in range(len(perm)):
-        orbit, i = [], start
-        while orbit_of[i] < 0:
-            orbit_of[i] = len(orbits)
-            orbit.append(i)
-            i = perm[i]
-        if orbit:
-            orbits.append(orbit)
+    orbits = _orbits(perm)
+    orbit_of = {e: o for o, orbit in enumerate(orbits) for e in orbit}
     weights, crosses = [], []
     for orbit in orbits:
         edge_mask = 0
@@ -129,9 +135,8 @@ def _fixed_count(family: str, n: int, k: int, perm: tuple) -> int:
         self_crossing = mask >> orbit_of[orbit[0]] & 1
         weights.append(0 if self_crossing
                        else sum(table.weights[e] for e in orbit))
-    max_mult = 1 if family_rules(family).classical else None
     return weighted_assignment_sum(weights, k, crosses, [1] * len(orbits),
-                                   max_mult)
+                                   family_rules(family).max_mult)
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -202,19 +207,13 @@ def fold(n: int, d: int, f: Multidissection) -> Multidissection:
         raise ValueError("fold expects a colored multidissection of the 2n-gon")
     if not is_fixed(f, d):
         raise ValueError("multidissection is not invariant under power %d" % d)
-    perm = _permutation("D", n, d, None)
     table = edge_table("D", n)
+    least = {i: orbit[0] for orbit in _orbits(_permutation("D", n, d, None))
+             for i in orbit}
     target: dict = {}
-    folded: set = set()
     for i, m in f.index_items():
-        if i in folded:
-            continue
-        # the orbit of i lies in the support with multiplicity m; i
-        # stands for it
-        j = i
-        while j not in folded:
-            folded.add(j)
-            j = perm[j]
+        if least[i] != i:
+            continue  # the orbit's least edge stands for all of it
         e = table.edges[i]
         u, v = edge_chords("D", n, e)[0]
         if table.shapes[i] == DIAMETER:
@@ -234,52 +233,37 @@ def fold(n: int, d: int, f: Multidissection) -> Multidissection:
     return Multidissection("D", p, target)
 
 
-def _lift_chord_class(n: int, p: int, u: int, delta: int) -> set:
-    """All centrally symmetric pairs of the 2n-gon meeting the chord
-    translate class {u + jp, u + delta + jp}."""
-    out = set()
-    for j in range(2 * n // p):
-        a = (u + j * p) % (2 * n)
-        b = (u + delta + j * p) % (2 * n)
-        out.add(_edge_of_chord("D", n, a, b))
-    if len(out) != n // p:
-        raise ArithmeticError("chord class lift produced a wrong orbit size")
-    return out
-
-
 def unfold(n: int, d: int, g: Multidissection) -> Multidissection:
     """Inverse of fold: rebuild the invariant multidissection of the
-    2n-gon from its image."""
+    2n-gon from its image, each image edge lifted to the generator^d orbit
+    of the 2n-gon edge holding its chord (distinct edges, disjoint orbits)."""
     p = fold_target_param(n, d)
     if g.family != "D" or g.n != p:
         raise ValueError("unfold expects a multidissection of the fold target")
-    table = edge_table("D", p)
-    colored: dict = {SOLID: {}, DOTTED: {}}
+    table = edge_table("D", n)
+    orbit_of = {i: orbit for orbit in _orbits(_permutation("D", n, d, None))
+                for i in orbit}
     support: dict = {}
+
+    def lift(u: int, v: int, color, m: int) -> None:
+        orbit = orbit_of[table.index[_edge_of_chord("D", n, u, v, color)]]
+        support.update((table.edges[i], m) for i in orbit)
+
+    image = edge_table("D", p)
+    diameters: dict = {}
     for e, m in g.items():
-        if table.shapes[table.index[e]] == DIAMETER:
-            colored[e.color][e.a] = m
-            continue
-        u, v = edge_chords("D", p, e)[-1]
-        for pair in _lift_chord_class(n, p, u, v - u):
-            support[pair] = support.get(pair, 0) + m
-    solid, dotted = colored[SOLID], colored[DOTTED]
-
-    if p < n:
-        # bicolored diameters come from inscribed polygons; peel off the
-        # balanced part before lifting leftover diameters orbit-wise
-        for i in sorted(set(solid) & set(dotted)):
-            m = min(solid[i], dotted[i])
-            solid[i] -= m
-            dotted[i] -= m
-            for pair in _lift_chord_class(n, p, i - 1, p):
-                support[pair] = support.get(pair, 0) + m
-
-    for color, diameters in colored.items():
-        for i, m in diameters.items():
-            for j in range(n // p):
-                e = DDiameter(i + j * p, color)
-                support[e] = support.get(e, 0) + m
+        if image.shapes[image.index[e]] == DIAMETER:
+            diameters[e.a, e.color] = m
+        else:
+            lift(*edge_chords("D", p, e)[-1], None, m)
+    for (a, color), m in diameters.items():
+        # below n, the balanced part of a bicolored diameter comes from an
+        # inscribed polygon; the rest lifts diameter-wise
+        both = min(diameters.get((a, SOLID), 0),
+                   diameters.get((a, DOTTED), 0)) if p < n else 0
+        if both and color == SOLID:
+            lift(a - 1, a - 1 + p, None, both)
+        lift(a - 1, a - 1 + n, color, m - both)
 
     lifted = Multidissection("D", n, support)
     if not is_fixed(lifted, d):

@@ -27,7 +27,9 @@ from .cspverify import (
     THEOREM_SELECTORS, VARIANTS, theorem_instance, theorem_rules, verify,
     verify_folding_consistency,
 )
-from .polygons import FAMILIES, enumerate_multidissections, family_rules
+from .polygons import (
+    FAMILIES, check_size, edge_count, enumerate_multidissections, family_rules,
+)
 from .qseries import IntLaurentPoly
 from .symfunc import ones_point, principal_point
 
@@ -283,13 +285,16 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     kind = "verify" if verifying else config.selector
     extra = (config.selector, config.variant, config.generator_step) \
         if verifying else ()
-    if verifying:  # the theorem's rules, before any task runs
-        theorem_rules(*extra, config.family)
+    ns, ks = config.n_range or (config.n,), config.k_range or (config.k,)
+    if verifying:  # the theorem's rules, every n, every k, before any task
+        family = theorem_rules(*extra, config.family)[0]
+        for n in ns:
+            check_size(family, n)
+        for k in ks:
+            edge_count(k)
     families = (config.family,) if config.family \
         else (REPORTS[kind].family_option or {}).get("choices", (None,))
-    tasks = [(kind, f, n, k) + extra
-             for n in config.n_range or (config.n,)
-             for k in config.k_range or (config.k,) for f in families]
+    tasks = [(kind, f, n, k) + extra for n in ns for k in ks for f in families]
     _check_out(config.out)
     reports = _run_all(tasks, config.workers)
     all_pass = all(r["pass"] for r in reports)

@@ -28,9 +28,10 @@ from .qseries import _exact_int
 class Family(NamedTuple):
     """One polygon family's rules: `base` ("A", "C" or "D") gives the edge
     universe and the cluster-monomial type; a `classical` family leaves out
-    the polygon's sides and uses multiplicities 0/1; a centrally symmetric
-    pair weighs `pair_weight` edges; the declared group order is `order`
-    times n; `steps` are the accepted generator steps, the default first."""
+    the polygon's sides, and its `max_mult` caps each multiplicity at 1
+    (None elsewhere); a centrally symmetric pair weighs `pair_weight` edges;
+    the declared group order is `order` times n; `steps` are the accepted
+    generator steps, the default first."""
 
     name: str
     base: str
@@ -39,6 +40,10 @@ class Family(NamedTuple):
     pair_weight: int
     order: int
     steps: tuple[int, ...] = (1,)
+
+    @property
+    def max_mult(self) -> int | None:
+        return 1 if self.classical else None
 
 
 _FAMILY = {f.name: f for f in (
@@ -298,7 +303,7 @@ class Multidissection:
 
     def __init__(self, family: str, n: int, support: dict):
         table = edge_table(family, n)
-        classical = family_rules(family).classical
+        max_mult = family_rules(family).max_mult
         items = []
         for e, m in support.items():
             check_edge(family, e, n)
@@ -307,7 +312,7 @@ class Multidissection:
                                  % (m, e))
             if m < 0:
                 raise ValueError("negative multiplicity on %r" % (e,))
-            if classical and m > 1:
+            if max_mult is not None and m > max_mult:
                 raise ValueError("classical families use multiplicity 0/1")
             if m:
                 items.append((table.index[e], m))
@@ -487,10 +492,9 @@ def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissect
     """All k-edge multidissections of the family, in a deterministic order."""
     edge_count(k)
     table = edge_table(family, n)
-    max_mult = 1 if family_rules(family).classical else None
     return [Multidissection._from_items(family, n, items)
             for items in iter_weighted_assignments(
-                table.weights, k, table.crosses, max_mult)]
+                table.weights, k, table.crosses, family_rules(family).max_mult)]
 
 
 def enumerate_classical(family: str, n: int, k: int) -> list[Multidissection]:

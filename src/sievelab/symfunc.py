@@ -27,13 +27,16 @@ def as_point(values) -> tuple[IntLaurentPoly, ...]:
 
 
 def principal_point(n: int, step: int = 1) -> tuple[IntLaurentPoly, ...]:
-    """The point (1, q^step, q^(2 step), ..., q^((n-1) step))."""
+    """The point (1, q^step, q^(2 step), ..., q^((n-1) step)), n >= 0."""
     n, step = _exact_int(n, "n"), _exact_int(step, "step")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return tuple(IntLaurentPoly.monomial(i * step) for i in range(n))
 
 
 def ones_point(n: int) -> tuple[IntLaurentPoly, ...]:
-    return as_point([1] * _exact_int(n, "n"))
+    """The point (1, ..., 1): the principal point at step 0."""
+    return principal_point(n, 0)
 
 
 def homog_eval(k: int, point) -> IntLaurentPoly:

@@ -1,11 +1,16 @@
 """Rotation actions, invariants, folding, and the odd-power correspondence."""
 
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievelab import actions
 from sievelab.actions import (
     _edge_of_chord,
+    _fixed_count,
+    _orbits,
     _permutation,
     action_order,
     count_fixed,
@@ -89,6 +94,25 @@ def reference_rotate_edge(family, n, e, step):
     return e
 
 
+def composed_power(family, n, d, step):
+    """generator^d, composed from the table's one-vertex-step rotation
+    d * step times."""
+    rotation = edge_table(family, n).rotation
+    perm = tuple(range(len(rotation)))
+    for _ in range(d * resolve_step(family, step)):
+        perm = tuple(rotation[i] for i in perm)
+    return perm
+
+
+def composed_order(perm):
+    """The least power of perm that is the identity, by composing."""
+    power, order = perm, 1
+    while power != tuple(range(len(perm))):
+        power = tuple(perm[i] for i in power)
+        order += 1
+    return order
+
+
 def reference_count_fixed(family, n, k, d, step):
     """Filter the enumeration for multidissections fixed by generator^d."""
     emap = {e: e for e in edge_universe(family, n)}
@@ -102,10 +126,7 @@ def reference_count_fixed(family, n, k, d, step):
 def reference_orbit_sizes(family, n, k, step):
     """Rotate each object's (edge index, multiplicity) tuple by the
     generator until it comes back, counting the steps."""
-    rotation = edge_table(family, n).rotation
-    gen = tuple(range(len(rotation)))
-    for _ in range(resolve_step(family, step)):
-        gen = tuple(rotation[i] for i in gen)
+    gen = composed_power(family, n, 1, step)
     sizes = []
     for md in enumerate_multidissections(family, n, k):
         start = cur = md.index_items()
@@ -262,15 +283,9 @@ def test_generator_powers_preserve_the_edge_table(case, d):
     family, n, step = case
     table = edge_table(family, n)
     size = len(table.edges)
-    perm = tuple(range(size))
-    for _ in range(d * resolve_step(family, step)):
-        perm = tuple(table.rotation[i] for i in perm)
+    perm = composed_power(family, n, d, step)
     assert sorted(perm) == list(range(size))
-    power, order = perm, 1
-    while power != tuple(range(size)):
-        power = tuple(perm[i] for i in power)
-        order += 1
-    assert declared_group_order(family, n) % order == 0
+    assert declared_group_order(family, n) % composed_order(perm) == 0
     # edges i and j cross exactly when perm[i] and perm[j] do
     assert all(sum(1 << perm[j] for j in range(size) if mask >> j & 1)
                == table.crosses[perm[i]]
@@ -278,6 +293,57 @@ def test_generator_powers_preserve_the_edge_table(case, d):
     assert all(table.weights[perm[i]] == w for i, w in enumerate(table.weights))
     assert rotation_edge_map(family, n, d, step) == \
         tuple((e, table.edges[j]) for e, j in zip(table.edges, perm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 20).flatmap(lambda m: st.permutations(range(m))))
+def test_orbits_are_the_cycles(perm):
+    # every point once; each orbit is a cycle from its least point, and
+    # the orbits come in order of those points
+    perm = tuple(perm)
+    orbits = _orbits(perm)
+    assert sorted(x for orbit in orbits for x in orbit) == list(range(len(perm)))
+    for orbit in orbits:
+        assert orbit[0] == min(orbit)
+        assert [perm[x] for x in orbit] == list(orbit[1:] + orbit[:1])
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+    # the order is the lcm of the orbit lengths, which no edge table tells
+    # from their max: each has an orbit as long as the generator's order
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions, "_permutation", lambda *args: perm)
+        assert action_order("A", 5) == composed_order(perm)
+
+
+@pytest.mark.parametrize("family,n,step", list(family_cases(4)))
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(0, 30), k=st.integers(0, 3))
+def test_orbit_reads_match_composition(family, n, step, d, k):
+    # powers, the order and the orbit-union counts read the orbits of the
+    # one-vertex-step rotation; composing the rotation gives the same
+    power = composed_power(family, n, d, step)
+    assert _permutation(family, n, d, step) == power
+    assert action_order(family, n, step) == \
+        composed_order(composed_power(family, n, 1, step))
+    assert _fixed_count(family, n, k, power) == \
+        reference_count_fixed(family, n, k, d, resolve_step(family, step))
+
+
+def _too_slow(signum, frame):
+    raise AssertionError("generator^d took longer than its residue allows")
+
+
+def test_huge_powers_cost_what_their_residue_does():
+    # composing the rotation d times took about two minutes at d = 10**8
+    _permutation.cache_clear()
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(10)
+    try:
+        for md in enumerate_multidissections("A", 8, 2):
+            assert is_fixed(md, 10**12 + 1) == is_fixed(md, 1)
+            assert is_fixed(md, 10**12 + 4) == is_fixed(md, 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_count_fixed_frozen():
@@ -536,7 +602,7 @@ def test_fold_rejects_non_invariant():
         fold(3, 2, md)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_fold_unfold_round_trip(n):
     for d in range(2, 2 * n + 1, 2):
         if (2 * n) % d:
@@ -558,7 +624,7 @@ def test_fold_unfold_round_trip(n):
                 assert g.edge_count() * n == f.edge_count() * p
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_unfold_fold_round_trip(n):
     for d in range(2, 2 * n + 1, 2):
         if (2 * n) % d:

@@ -534,6 +534,35 @@ def test_verify_rules_checked_before_any_task(monkeypatch, capsys, selector,
     assert captured.err == "error: %s\n" % library.value
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool started before every n and k was checked")
+
+
+@pytest.mark.parametrize("options, message", [
+    (["thm2.5", "--n-range", "2:4", "--k", "1"], "family A needs n >= 3"),
+    (["thm3.4", "--n-range", "2:4", "--k-range=-1:1"],
+     "edge count must be >= 0"),
+    (["orbit-poly", "--family", "D", "--n-range", "0:2", "--k", "1"],
+     "family D needs n >= 1"),
+    # both wrong: the size is checked first, for every selector
+    (["thm1.1-1", "--n", "2", "--k", "-1"], "family classicalA needs n >= 3"),
+    (["thm1.1-2", "--n", "1", "--k", "-1"], "family classicalBC needs n >= 2"),
+    (["orbit-poly", "--family", "A", "--n", "2", "--k", "-1"],
+     "family A needs n >= 3"),
+], ids=["thm2.5-n", "thm3.4-k", "orbit-poly-n", "thm1.1-1-both",
+        "thm1.1-2-both", "orbit-poly-both"])
+def test_verify_sizes_checked_before_any_pool(monkeypatch, capsys, options,
+                                              message):
+    # every n and k of the sweep is checked before --workers 2 starts a pool
+    import multiprocessing.pool
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", _no_pool)
+    code = main(["verify", "--theorem"] + options + ["--workers", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: %s\n" % message
+
+
 def test_out_check_neither_creates_nor_truncates(monkeypatch, tmp_path):
     def work(*args):
         raise RuntimeError("the work fails")

@@ -63,6 +63,9 @@ def test_readers_match_reference(family):
     top = max(m for f in enumerate_multidissections(family, n, 2)
               for _, m in f.index_items())
     assert top == (1 if ref.classical else 2)
+    # the one multiplicity cap, which the listing and the orbit-union
+    # count both read
+    assert family_rules(family).max_mult == (1 if ref.classical else None)
 
 
 def _instance(family):

@@ -25,7 +25,8 @@ from sievelab.polygons import (
 )
 from sievelab.symfunc import (
     build_X_thm11, build_X_typeA, build_X_typeC, build_X_typeD,
-    character_A, character_C, character_D, ones_point,
+    character_A, character_C, character_D, homog_eval, ones_point,
+    principal_point,
 )
 from sievelab.tableaux import enumerate_sncr, enumerate_ssyt
 
@@ -63,6 +64,8 @@ ENTRY_POINTS = [
     ("odd_power_correspondence k",
      lambda v: odd_power_correspondence(3, 1, v)),
     ("ones_point n", lambda v: ones_point(v)),
+    ("principal_point n", lambda v: principal_point(v)),
+    ("principal_point step", lambda v: principal_point(3, v)),
     ("character_A k", lambda v: character_A(v, ones_point(3))),
     ("character_C k", lambda v: character_C(v, ones_point(2), ones_point(2))),
     ("character_D k", lambda v: character_D(v, ones_point(2), ones_point(2))),
@@ -175,3 +178,13 @@ def test_negative_counts_in_the_weighted_searches():
                  lambda: odd_power_correspondence(3, 1, -1)):
         with pytest.raises(ValueError, match="edge count must be >= 0"):
             call()
+
+
+@pytest.mark.parametrize("point", [principal_point, ones_point])
+@pytest.mark.parametrize("n", [-1, -3])
+def test_points_reject_negative_sizes(point, n):
+    # a negative size is not the empty point, at which h_2 would read 0
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        point(n)
+    assert point(0) == ()
+    assert homog_eval(2, point(0)) == 0
