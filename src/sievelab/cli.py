@@ -93,7 +93,8 @@ class Report(NamedTuple):
     item of its list `entries` with `entry_columns`; text writes
     `line % report`, then `mismatch % item` per failing item.  An audit
     declares `--family` with the keyword arguments `family_option`, or
-    not at all where that is None; left out, it sweeps the choices."""
+    not at all where that is None; left out, it sweeps the choices.  An
+    audit without `--family` reads the one `family` its n must fit."""
     run: Callable[..., dict]
     columns: tuple[str, ...]
     line: str
@@ -101,6 +102,7 @@ class Report(NamedTuple):
     entry_columns: tuple[str, ...] = ()
     mismatch: str | None = None
     family_option: dict | None = None
+    family: str | None = None
 
 
 _BASIS_COLUMNS = ("family", "n", "k", "count", "rank", "expected_dim", "pass")
@@ -116,16 +118,16 @@ REPORTS = {
         "checks", ("d", "fixed", "eval", "pass"),
         "  d=%(d)d fixed=%(fixed)d eval=%(eval)s MISMATCH"),
     "basis-A": Report(lambda family, n, k: check_basis_A(n, k).to_json_dict(),
-                      _BASIS_COLUMNS, "basis-A" + _BASIS_LINE),
+                      _BASIS_COLUMNS, "basis-A" + _BASIS_LINE, family="A"),
     "basis-C": Report(lambda family, n, k: check_basis_C(n, k).to_json_dict(),
-                      _BASIS_COLUMNS, "basis-C" + _BASIS_LINE),
+                      _BASIS_COLUMNS, "basis-C" + _BASIS_LINE, family="C"),
     "conjecture-D": Report(
         lambda family, n, k: check_conjecture_D(n, k).to_json_dict(),
         ("n", "k", "count", "rank", "expected_dim", "lemma_count",
          "independent_mod_J", "spans", "pass"),
         "conjecture-D n=%(n)d k=%(k)d count=%(count)d rank=%(rank)d"
         " expected=%(expected_dim)d independent=%(independent_mod_J)s"
-        " spans=%(spans)s pass=%(pass)s  (%(note)s)"),
+        " spans=%(spans)s pass=%(pass)s  (%(note)s)", family="D"),
     "equivariance": Report(
         lambda family, n, k: verify_equivariance(family, n, k).to_json_dict(),
         ("family", "n", "k", "mode", "total", "failures", "pass"),
@@ -140,7 +142,8 @@ REPORTS = {
         lambda family, n, k: verify_folding_consistency(n, k).to_json_dict(),
         ("n", "k"), "folding n=%(n)d k=%(k)d pass=%(pass)s",
         "entries", ("d", "parity", "fixed", "expected", "pass"),
-        "  d=%(d)d %(parity)s fixed=%(fixed)d expected=%(expected)d MISMATCH"),
+        "  d=%(d)d %(parity)s fixed=%(fixed)d expected=%(expected)d MISMATCH",
+        family="C"),
 }
 AUDIT_SELECTORS = tuple(kind for kind in REPORTS if kind != "verify")
 
@@ -154,8 +157,9 @@ def _run_all(tasks: list[tuple], workers: int) -> list[dict]:
         return [_run_task(t) for t in tasks]
     # imported here: a run that starts no pool never loads multiprocessing
     from multiprocessing import Pool
+    # in order, so the first failing task ends the sweep without waiting
     with Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(_run_task, tasks, chunksize=1)
+        return list(pool.imap(_run_task, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +290,16 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     extra = (config.selector, config.variant, config.generator_step) \
         if verifying else ()
     ns, ks = config.n_range or (config.n,), config.k_range or (config.k,)
-    if verifying:  # the theorem's rules, every n, every k, before any task
-        family = theorem_rules(*extra, config.family)[0]
+    row = REPORTS[kind]
+    families = (config.family,) if config.family \
+        else (row.family_option or {}).get("choices", (row.family,))
+    # theorem rules, each n per family read, each k, before any task
+    for family in (theorem_rules(*extra, config.family)[0],) if verifying \
+            else families:
         for n in ns:
             check_size(family, n)
-        for k in ks:
-            edge_count(k)
-    families = (config.family,) if config.family \
-        else (REPORTS[kind].family_option or {}).get("choices", (None,))
+    for k in ks:
+        edge_count(k)
     tasks = [(kind, f, n, k) + extra for n in ns for k in ks for f in families]
     _check_out(config.out)
     reports = _run_all(tasks, config.workers)
@@ -301,8 +307,7 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     payload = {"command": config.command, "reports": reports,
                "theorem" if verifying else "selector": config.selector,
                "all_pass": all_pass}
-    _emit(config, payload, partial(_csv, REPORTS[kind]),
-          partial(_text, REPORTS[kind]))
+    _emit(config, payload, partial(_csv, row), partial(_text, row))
     return 0 if all_pass or config.exploratory else 1
 
 

@@ -198,6 +198,22 @@ def _pair(c) -> tuple:
     return _exact(c), 0
 
 
+def _merge(terms: dict, items) -> dict:
+    """Add each (packed monomial, pair) of `items` into `terms`, dropping
+    a monomial whose sum is zero; returns `terms`."""
+    for m, pair in items:
+        old = terms.get(m)
+        if old is None:
+            terms[m] = pair
+            continue
+        re, im = old[0] + pair[0], old[1] + pair[1]
+        if re or im:
+            terms[m] = (re, im)
+        else:
+            del terms[m]
+    return terms
+
+
 class XPoly:
     """Sparse polynomial over the Gaussian rationals in the variables of
     an nrows x 2 matrix.
@@ -278,18 +294,8 @@ class XPoly:
         if not isinstance(other, XPoly):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self._terms)
-        for m, pair in other._terms.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = pair
-                continue
-            re, im = old[0] + pair[0], old[1] + pair[1]
-            if re or im:
-                out[m] = (re, im)
-            else:
-                del out[m]
-        return XPoly._make(self.nrows, out)
+        return XPoly._make(self.nrows,
+                           _merge(dict(self._terms), other._terms.items()))
 
     def __neg__(self):
         return XPoly._make(self.nrows, {m: (-re, -im) for m, (re, im)
@@ -500,20 +506,9 @@ def j_reduce(p: XPoly, n: int) -> XPoly:
     lead_a, lead_b = _unit(N, n + 1, 1), _unit(N, n + 2, 2)
     shift_a, shift_b = lead_a.bit_length() - 1, lead_b.bit_length() - 1
     step = _unit(N, n + 1, 2) + _unit(N, n + 2, 1) - lead_a - lead_b
-    terms: dict[int, tuple] = {}
-    for m, pair in p._terms.items():
-        t = min((m >> shift_a) & 0xFF, (m >> shift_b) & 0xFF)
-        if t:
-            m += t * step
-        old = terms.get(m)
-        if old is None:
-            terms[m] = pair
-            continue
-        re, im = old[0] + pair[0], old[1] + pair[1]
-        if re or im:
-            terms[m] = (re, im)
-        else:
-            del terms[m]
+    terms = _merge({}, ((m + step * min((m >> shift_a) & 0xFF,
+                                        (m >> shift_b) & 0xFF), pair)
+                        for m, pair in p._terms.items()))
     _check_fields(terms, 2 * N)
     return XPoly._make(N, terms)
 

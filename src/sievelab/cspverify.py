@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .actions import (
     declared_group_order, fixed_count_vector, fold_target_param, resolve_step,
 )
-from .polygons import enumerate_multidissections
+from .polygons import check_size, enumerate_multidissections
 from .qseries import (
     IntLaurentPoly, RootEvaluation, _exact_int, eval_at_unity_root,
 )
@@ -239,8 +239,7 @@ def verify_folding_consistency(n: int, k: int) -> FoldingReport:
     powers: they match the invariant centrally symmetric multidissections
     with half the edges (none when k is odd).
     """
-    if _exact_int(n, "n") < 2:
-        raise ValueError("needs n >= 2")
+    check_size("C", n)  # the odd powers read family C's tables
     counts = fixed_count_vector("D", n, k, None)
     # odd powers compare with centrally symmetric objects of half the
     # edges, of which there are none at odd k

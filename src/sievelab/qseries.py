@@ -164,21 +164,21 @@ class IntLaurentPoly:
         s = _exact_int(s, "substitution power")
         if s < 0:
             raise ValueError("substitution power must be nonnegative")
-        out: dict[int, int] = {}
-        for e, c in self._terms.items():
-            ne = e * s
-            out[ne] = out.get(ne, 0) + c
-        return IntLaurentPoly._make({e: c for e, c in out.items() if c})
+        return self._regroup(lambda e: e * s)
 
     def fold_exponents(self, m: int) -> "IntLaurentPoly":
         """Reduce exponents mod m, i.e. the residue mod q**m - 1."""
         m = _exact_int(m, "modulus")
         if m <= 0:
             raise ValueError("modulus must be positive")
+        return self._regroup(lambda e: e % m)
+
+    def _regroup(self, key) -> "IntLaurentPoly":
+        """The terms summed under exponent key(e), zero sums dropped."""
         out: dict[int, int] = {}
         for e, c in self._terms.items():
-            ne = e % m
-            out[ne] = out.get(ne, 0) + c
+            e = key(e)
+            out[e] = out.get(e, 0) + c
         return IntLaurentPoly._make({e: c for e, c in out.items() if c})
 
     def evaluate(self, x):

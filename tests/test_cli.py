@@ -1,13 +1,22 @@
 """Command line interface: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sievelab import cli
+from sievelab import cli, clusterlab
 from sievelab.cli import main
-from sievelab.cspverify import theorem_instance
+from sievelab.cspverify import (
+    theorem_instance, theorem_rules, verify_folding_consistency,
+)
+from sievelab.polygons import FAMILIES, min_n
 
 
 def run(capsys, argv):
@@ -219,7 +228,6 @@ def test_audit_characters(capsys):
 
 def test_audit_characters_lists_no_objects(capsys, monkeypatch):
     # the character sums are taken without listing a single object
-    import sievelab.clusterlab as clusterlab
     import sievelab.polygons as polygons
 
     def fail(*args):
@@ -561,6 +569,124 @@ def test_verify_sizes_checked_before_any_pool(monkeypatch, capsys, options,
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("options, library, message", [
+    (["basis-A", "--n-range", "2:4", "--k", "1"],
+     lambda: clusterlab.check_basis_A(2, 1), "family A needs n >= 3"),
+    (["equivariance", "--family", "A", "--n-range", "2:4", "--k", "1"],
+     lambda: clusterlab.verify_equivariance("A", 2, 1),
+     "family A needs n >= 3"),
+    (["folding", "--n-range", "0:2", "--k", "1"],
+     lambda: verify_folding_consistency(0, 1), "family C needs n >= 2"),
+    (["basis-C", "--n", "3", "--k-range=-1:1"],
+     lambda: clusterlab.check_basis_C(3, -1), "edge count must be >= 0"),
+    (["characters", "--n-range", "2:4", "--k", "1"],
+     lambda: cli._character_report("A", 2, 1), "family A needs n >= 3"),
+], ids=["basis-A-n", "equivariance-n", "folding-n", "basis-C-k",
+        "characters-n"])
+def test_audit_sizes_checked_before_any_pool(monkeypatch, capsys, options,
+                                             library, message):
+    # every n and k of an audit sweep is checked against the family it
+    # reads before --workers 2 starts a pool, with the library's message
+    import multiprocessing.pool
+
+    with pytest.raises(ValueError, match="^%s$" % message):
+        library()
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", _no_pool)
+    code = main(["audit"] + options + ["--workers", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: %s\n" % message
+
+
+def test_every_audit_names_the_family_its_n_must_fit():
+    # an audit takes --family, or its row names the one family it reads
+    for selector in cli.AUDIT_SELECTORS:
+        row = cli.REPORTS[selector]
+        assert (row.family_option is None) != (row.family is None), selector
+        assert row.family in FAMILIES + (None,)
+    assert cli.REPORTS["verify"].family is None
+
+
+def _sweep_argv(selector, data):
+    """A verify or audit sweep of `selector` with --family where it takes
+    one, whose n and k ranges start one below, at or one above their
+    least values."""
+    verifying = selector in cli.THEOREM_SELECTORS
+    argv = ["verify", "--theorem", selector] if verifying \
+        else ["audit", selector]
+    row = None if verifying else cli.REPORTS[selector]
+    if verifying and selector != "orbit-poly":
+        family = theorem_rules(selector)[0]
+    elif row is not None and row.family:
+        family = row.family
+    else:
+        choices = row.family_option["choices"] if row else FAMILIES
+        family = data.draw(st.sampled_from(choices))
+        if row is None or row.family_option.get("required") \
+                or data.draw(st.booleans()):
+            argv += ["--family", family]
+    n = min_n(family) + data.draw(st.integers(-1, 1))
+    k = data.draw(st.integers(-1, 1))
+    return argv + ["--n-range=%d:%d" % (n, n + data.draw(st.integers(0, 1))),
+                   "--k-range=%d:%d" % (k, k + data.draw(st.integers(0, 1)))]
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("selector",
+                         cli.THEOREM_SELECTORS + cli.AUDIT_SELECTORS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_pooled_sweep_fails_as_a_serial_one_does(selector, data):
+    # the same exit code, output and message for any worker count, and no
+    # pool before a size or edge-count error; only conjecture-D's own
+    # n >= 2 rule is found inside a task
+    import multiprocessing.pool
+
+    argv = _sweep_argv(selector, data)
+    serial = _main_captured(argv + ["--workers", "1"])
+    started = []
+    real_init = multiprocessing.pool.Pool.__init__
+
+    def spy(self, *args, **kwargs):
+        started.append(argv)
+        real_init(self, *args, **kwargs)
+
+    with mock.patch.object(multiprocessing.pool.Pool, "__init__", spy):
+        pooled = _main_captured(argv + ["--workers", "2"])
+    assert pooled == serial
+    if serial[0] == 2 and started:
+        assert serial[2] == "error: the audit needs n >= 2\n"
+
+
+def test_pooled_sweep_stops_at_its_first_failing_task(monkeypatch, capsys):
+    # the second task fails while the tasks after it would block for 30 s;
+    # patched before the pool forks, so the workers run the patch
+    real = clusterlab.check_basis_A
+
+    def check(n, k):
+        if n == 4:
+            raise ArithmeticError("the second task fails")
+        if n > 4:
+            time.sleep(30)
+        return real(n, k)
+
+    monkeypatch.setattr(cli, "check_basis_A", check)
+    start = time.perf_counter()
+    code = main(["audit", "basis-A", "--n-range", "3:6", "--k", "1",
+                 "--workers", "2"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "internal error: the second task fails\n"
+    assert elapsed < 10
 
 
 def test_out_check_neither_creates_nor_truncates(monkeypatch, tmp_path):
