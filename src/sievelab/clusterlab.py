@@ -114,7 +114,8 @@ class GaussRat:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes as that
+        return hash((self.re, self.im) if self.im else self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -153,16 +154,10 @@ def var_index(row: int, col: int, nrows: int) -> int:
 _MAX_EXP = 127
 
 
-@lru_cache(maxsize=64, typed=True)
-def _top_bits(width: int) -> int:
-    """The top bit of every field of a monomial in width variables."""
-    return int.from_bytes(b"\x80" * width, "big")
-
-
 def _check_fields(monos, width: int):
     """Raise ArithmeticError when a packed monomial, made by adding valid
-    ones, has an exponent above _MAX_EXP."""
-    if reduce(or_, monos, 0) & _top_bits(width):
+    ones, has an exponent above _MAX_EXP: the top bit of some field is set."""
+    if reduce(or_, monos, 0) & int.from_bytes(b"\x80" * width, "big"):
         raise ArithmeticError("an exponent exceeds %d, the largest a packed "
                               "monomial holds" % _MAX_EXP)
 

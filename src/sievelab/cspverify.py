@@ -10,7 +10,7 @@ genuine integer identity, not a float coincidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -64,15 +64,16 @@ class CspInstance:
     n: int
     k: int
     polynomial: IntLaurentPoly
-    group_order: int = field(init=False)
     variant: str | None = None
     generator_step: int | None = None
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "group_order",
-                           declared_group_order(self.family, self.n))
         resolve_step(self.family, self.generator_step)
+
+    @property
+    def group_order(self) -> int:
+        return declared_group_order(self.family, self.n)
 
 
 class CspCheck(NamedTuple):
@@ -90,11 +91,10 @@ class CspCheck(NamedTuple):
 class CspReport:
     instance: CspInstance
     checks: tuple[CspCheck, ...]
-    csp_holds: bool = field(init=False)
 
-    def __post_init__(self):
-        ok = all(c.passed and c.evaluation.is_integer for c in self.checks)
-        object.__setattr__(self, "csp_holds", ok)
+    @property
+    def csp_holds(self) -> bool:
+        return all(c.passed and c.evaluation.is_integer for c in self.checks)
 
     def failing(self) -> list[CspCheck]:
         return [c for c in self.checks if not c.passed]
@@ -122,10 +122,11 @@ def verify(instance: CspInstance) -> CspReport:
     """
     counts = fixed_count_vector(instance.family, instance.n, instance.k,
                                 instance.generator_step)
+    order = instance.group_order
     checks = []
-    for d in range(1, instance.group_order + 1):
+    for d in range(1, order + 1):
         fixed = counts[gcd(d, len(counts) - 1)]
-        ev = eval_at_unity_root(instance.polynomial, instance.group_order, d)
+        ev = eval_at_unity_root(instance.polynomial, order, d)
         passed = ev.is_integer and ev.value == fixed
         checks.append(CspCheck(d, fixed, ev, passed))
     return CspReport(instance, tuple(checks))
@@ -220,10 +221,10 @@ class FoldingReport:
     n: int
     k: int
     entries: tuple[FoldingEntry, ...]
-    passed: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", all(e.passed for e in self.entries))
+    @property
+    def passed(self) -> bool:
+        return all(e.passed for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "k": self.k,

@@ -18,11 +18,11 @@ class IntLaurentPoly:
     """Sparse Laurent polynomial in q with integer coefficients.
 
     Terms map exponents (possibly negative) to nonzero arbitrary-precision
-    integers.  Instances are treated as immutable and are hashable, so equal
-    polynomials always have identical term maps.
+    integers, so equal polynomials have identical term maps.  Instances
+    are treated as immutable and hash as the values they equal.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | int = 0):
         """From an exponent -> coefficient map or a constant.  Exponents
@@ -37,7 +37,6 @@ class IntLaurentPoly:
             if c:
                 clean[e] = c
         self._terms = clean
-        self._hash = None
 
     @classmethod
     def _make(cls, terms: dict[int, int]) -> "IntLaurentPoly":
@@ -45,7 +44,6 @@ class IntLaurentPoly:
         unchecked; the arithmetic builds every result this way."""
         p = cls.__new__(cls)
         p._terms = terms
-        p._hash = None
         return p
 
     @staticmethod
@@ -91,9 +89,9 @@ class IntLaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        if self.is_constant():  # equal to its int, so hashed as that int
+            return hash(self.constant_value())
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -351,14 +349,6 @@ class RootEvaluation:
     def is_integer(self) -> bool:
         return self.value is not None
 
-    @staticmethod
-    def integer(v: int) -> "RootEvaluation":
-        return RootEvaluation(value=int(v))
-
-    @staticmethod
-    def nonrational(residue: IntLaurentPoly, order: int) -> "RootEvaluation":
-        return RootEvaluation(value=None, residue=residue, order=order)
-
     def to_json_obj(self):
         if self.is_integer:
             return str(self.value)
@@ -389,5 +379,5 @@ def eval_at_unity_root(p: IntLaurentPoly, m: int, d: int) -> RootEvaluation:
     _, rem = _divmod_monic(folded._terms, cyclotomic(m2))
     residue = IntLaurentPoly._make(rem)
     if residue.is_constant():
-        return RootEvaluation.integer(residue.constant_value())
-    return RootEvaluation.nonrational(residue, m2)
+        return RootEvaluation(residue.constant_value())
+    return RootEvaluation(None, residue, m2)

@@ -543,6 +543,8 @@ def test_verify_rules_checked_before_any_task(monkeypatch, capsys, selector,
 
 
 def _no_pool(*args, **kwargs):
+    # stands in for multiprocessing.Pool, so it raises before any Pool
+    # object exists: a half-built Pool would raise again in its __del__
     raise AssertionError("a pool started before every n and k was checked")
 
 
@@ -562,9 +564,9 @@ def _no_pool(*args, **kwargs):
 def test_verify_sizes_checked_before_any_pool(monkeypatch, capsys, options,
                                               message):
     # every n and k of the sweep is checked before --workers 2 starts a pool
-    import multiprocessing.pool
+    import multiprocessing
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
     code = main(["verify", "--theorem"] + options + ["--workers", "2"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -589,11 +591,11 @@ def test_audit_sizes_checked_before_any_pool(monkeypatch, capsys, options,
                                              library, message):
     # every n and k of an audit sweep is checked against the family it
     # reads before --workers 2 starts a pool, with the library's message
-    import multiprocessing.pool
+    import multiprocessing
 
     with pytest.raises(ValueError, match="^%s$" % message):
         library()
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", _no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
     code = main(["audit"] + options + ["--workers", "2"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")

@@ -106,6 +106,10 @@ def test_gaussrat_is_immutable_and_hashable():
         a.re = Fraction(5)
     assert len({GaussRat(1, 2), GaussRat(1, 2), GaussRat(2, 1)}) == 2
     assert GaussRat(3) == GaussRat(Fraction(6, 2))
+    # a real value hashes as the int or Fraction it equals
+    assert len({GaussRat(3), 3, GaussRat(Fraction(6, 2))}) == 1
+    assert len({GaussRat(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert {Fraction(1, 2): "half"}[GaussRat(Fraction(1, 2))] == "half"
 
 
 def assert_exact(g):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sievelab.qseries import (
@@ -127,6 +127,28 @@ def test_ring_laws_under_fraction_evaluation(a, b, c, x):
     assert a * (b + c) == a * b + a * c
     assert a + ZERO == a and a * ONE == a and a - a == ZERO
     assert ev(a ** 3) == ev(a) ** 3
+
+
+# small ranges, so that two draws are often equal
+small_values = st.one_of(
+    st.integers(-2, 2),
+    st.dictionaries(st.integers(-1, 1), st.integers(-2, 2),
+                    max_size=2).map(IntLaurentPoly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_values, small_values)
+@example(IntLaurentPoly(3), 3)
+@example(ZERO, 0)
+def test_equal_values_hash_equal(a, b):
+    # a == b must imply hash(a) == hash(b), so that a set or a dict key
+    # treats a constant polynomial and the int it equals as one value
+    shuffled = (IntLaurentPoly(dict(reversed(a.terms.items())))
+                if isinstance(a, IntLaurentPoly) else a)
+    for x, y in ((a, b), (a, a + ZERO), (a * ONE, a), (shuffled, a)):
+        if x == y:
+            assert hash(x) == hash(y), (x, y)
+            assert len({x, y}) == 1 and {y: "y"}[x] == "y", (x, y)
 
 
 # tolerance of the float cross-check below, not used by the library
@@ -343,7 +365,7 @@ def test_eval_at_unity_root_examples():
 
 
 def test_root_evaluation_json():
-    ev = RootEvaluation.integer(5)
+    ev = RootEvaluation(5)
     assert ev.to_json_obj() == "5"
     ev2 = eval_at_unity_root(Q - Q * Q, 3, 1)
     obj = ev2.to_json_obj()
