@@ -2,9 +2,10 @@
 batches, and algebra audits with JSON / CSV / text reports.
 
 Exit codes: 0 all requested checks hold (or --exploratory), 1 at least
-one check failed, 2 usage or configuration error, 3 a failed internal
-invariant (an ArithmeticError, such as a non-exact division or an orbit
-size that does not divide the group order).
+one check failed, 2 usage or configuration error, 3 an internal error: a
+failed internal invariant (an ArithmeticError, such as a non-exact
+division or an orbit size that does not divide the group order), or any
+other exception, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -391,6 +392,13 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # a crash is not a failed check; imported here, off the start-up path
+        import traceback
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 3
 
 

@@ -397,6 +397,20 @@ def edge_label(e) -> dict:
     return {"kind": _KINDS[type(e)][2], **asdict(e)}
 
 
+def _fits(weights, target: int, max_mult) -> tuple[int, int, list[int]]:
+    """Both searches' arguments, checked: the target, the multiplicity cap
+    and fits[r], the mask of the edges of weight 1..r for r <= target."""
+    target = edge_count(target)
+    cap = target if max_mult is None else _exact_int(max_mult, "max_mult")
+    if cap < 0:
+        raise ValueError("max_mult must be >= 0")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be >= 0")
+    fits = [sum(1 << idx for idx, w in enumerate(weights) if 0 < w <= r)
+            for r in range(target + 1)]
+    return target, cap, fits
+
+
 def iter_weighted_assignments(weights, target: int, crosses,
                               max_mult: int | None = None) -> Iterator[tuple]:
     """Backtrack over edge indices in order, yielding every pairwise
@@ -407,33 +421,29 @@ def iter_weighted_assignments(weights, target: int, crosses,
     optionally caps the per-edge multiplicity.  Edges of weight 0 are
     never chosen.  The arguments are checked when it is called.
     """
-    target = edge_count(target)
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be >= 0")
+    target, cap, fits = _fits(weights, target, max_mult)
     # pairs[idx][m - 1] is the one (idx, m) pair every support shares;
     # an edge has a row up to its largest possible multiplicity
-    cap = target if max_mult is None else max_mult
     pairs = [tuple((idx, m) for m in range(1, min(target // w, cap) + 1))
              if w else () for idx, w in enumerate(weights)]
-    chosen: list[tuple[int, int]] = []
 
-    def rec(start: int, remaining: int, blocked: int):
-        # `blocked` has a bit set for every edge crossing a chosen one
-        if remaining == 0:
-            yield tuple(chosen)
-            return
-        for idx in range(start, len(weights)):
-            w = weights[idx]
-            if w == 0 or w > remaining or blocked >> idx & 1:
-                continue
-            below = blocked | crosses[idx]
-            chosen.append(None)
+    def rec(open_: int, remaining: int, prefix: tuple):
+        # the open set: the edges after the last choice that cross no
+        # chosen one and weigh at most `remaining`, taken lowest first
+        if not remaining:
+            yield prefix
+        while open_:
+            idx = (open_ & -open_).bit_length() - 1
+            open_ &= open_ - 1
+            after, w = open_ & ~crosses[idx], weights[idx]
             for pair in pairs[idx][:remaining // w]:
-                chosen[-1] = pair
-                yield from rec(idx + 1, remaining - pair[1] * w, below)
-            chosen.pop()
+                rest = remaining - pair[1] * w
+                if rest:
+                    yield from rec(after & fits[rest], rest, prefix + (pair,))
+                else:
+                    yield prefix + (pair,)
 
-    return rec(0, target, 0)
+    return rec(fits[target], target, ())
 
 
 def weighted_assignment_sum(weights, target: int, crosses, values,
@@ -444,48 +454,37 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
 
     The values may lie in any commutative ring whose elements add to and
     multiply with the ints 0 and 1; the empty support contributes 1.  The
-    sum over the supports whose least edge is `start` or later depends on
-    (start, remaining, blocked >> start) alone, so each such state is
-    summed once; the memo is dropped when the call returns.  Recursion
-    goes one level per chosen edge, so its depth stays within `target`.
+    sum over the supports drawn from an open set depends on (remaining,
+    open set) alone, so each such state is summed once; the memo is
+    dropped when the call returns.  Recursion goes one level per chosen
+    edge, so its depth stays within `target`.
     """
-    target = edge_count(target)
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be >= 0")
-    size = len(weights)
+    target, cap, fits = _fits(weights, target, max_mult)
     memo: dict[tuple, object] = {}
 
-    def rec(start: int, remaining: int, blocked: int):
-        if remaining == 0:
+    def rec(open_: int, remaining: int):
+        if not remaining:
             return 1
-        # the states of the edges that can still be taken, up to the
-        # first one already summed; each is its own first choice plus the
-        # state after it
+        # the open set's suffixes up to the first one already summed; each
+        # is its lowest edge as first choice plus the suffix after it
         chain = []
-        total = 0
-        for idx in range(start, size):
-            if not 0 < weights[idx] <= remaining or blocked >> idx & 1:
-                continue
-            key = (idx, remaining, blocked >> idx)
-            summed = memo.get(key)
-            if summed is not None:
-                total = summed
-                break
-            chain.append((idx, key))
-        for idx, key in reversed(chain):
+        while open_ and (remaining, open_) not in memo:
+            chain.append(open_)
+            open_ &= open_ - 1
+        total = memo.get((remaining, open_), 0)
+        for open_ in reversed(chain):
+            idx = (open_ & -open_).bit_length() - 1
+            after = open_ & (open_ - 1) & ~crosses[idx]
             w, value = weights[idx], values[idx]
-            top = remaining // w
-            if max_mult is not None:
-                top = min(top, max_mult)
-            below = blocked | crosses[idx]
             power = 1
-            for m in range(1, top + 1):
+            for m in range(1, min(remaining // w, cap) + 1):
                 power = power * value
-                total = total + power * rec(idx + 1, remaining - m * w, below)
-            memo[key] = total
+                rest = remaining - m * w
+                total = total + power * rec(after & fits[rest], rest)
+            memo[remaining, open_] = total
         return total
 
-    return rec(0, target, 0)
+    return rec(fits[target], target)
 
 
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:

@@ -699,11 +699,30 @@ def test_out_check_neither_creates_nor_truncates(monkeypatch, tmp_path):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text("kept")
     for out in (old, new):
-        with pytest.raises(RuntimeError):
-            main(["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1",
-                  "--out", str(out)])
+        assert main(["verify", "--theorem", "thm2.5", "--n", "4", "--k", "1",
+                     "--out", str(out)]) == 3
     assert old.read_text() == "kept"
     assert not new.exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_crash_is_an_internal_error(monkeypatch, error, workers):
+    # exit 1 means a check failed, so an exception that is neither a
+    # usage error nor a failed invariant exits 3, with its traceback;
+    # patched before the pool forks, so the workers run the patch
+    def check(n, k):
+        raise error("the task crashed")
+
+    monkeypatch.setattr(cli, "check_basis_A", check)
+    code, out, err = _main_captured(["audit", "basis-A", "--n-range", "3:4",
+                                     "--k", "1", "--workers", workers])
+    assert (code, out) == (3, "")
+    # under a pool, the task's traceback is printed as the cause of the
+    # traceback in the parent process
+    assert "Traceback (most recent call last):\n" in err
+    assert err.endswith("internal error: %s: the task crashed\n"
+                        % error.__name__)
 
 
 def test_out_file_contains_json(tmp_path, capsys):

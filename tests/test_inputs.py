@@ -50,6 +50,10 @@ ENTRY_POINTS = [
      lambda v: iter_weighted_assignments([1, 1], v, [0, 0])),
     ("weighted_assignment_sum target",
      lambda v: weighted_assignment_sum([1, 1], v, [0, 0], [1, 1])),
+    ("iter_weighted_assignments max_mult",
+     lambda v: iter_weighted_assignments([1, 1], 1, [0, 0], v)),
+    ("weighted_assignment_sum max_mult",
+     lambda v: weighted_assignment_sum([1, 1], 1, [0, 0], [1, 1], v)),
     ("declared_group_order n", lambda v: declared_group_order("D", v)),
     ("polygon_size n", lambda v: polygon_size("C", v)),
     ("fixed_count_vector n", lambda v: fixed_count_vector("D", v, 1, None)),
@@ -178,6 +182,20 @@ def test_negative_counts_in_the_weighted_searches():
                  lambda: odd_power_correspondence(3, 1, -1)):
         with pytest.raises(ValueError, match="edge count must be >= 0"):
             call()
+
+
+def test_negative_multiplicity_caps_in_the_weighted_searches():
+    # a negative cap is an error when called, not a search that finds
+    # nothing; a cap of 0 allows only the empty support
+    for call in (lambda: iter_weighted_assignments([1, 1], 1, [0, 0], -1),
+                 lambda: weighted_assignment_sum([1, 1], 1, [0, 0], [1, 1], -1)):
+        with pytest.raises(ValueError, match="max_mult must be >= 0"):
+            call()
+    for target, supports in ((0, [()]), (1, [])):
+        assert list(iter_weighted_assignments([1, 1], target, [0, 0], 0)) \
+            == supports
+        assert weighted_assignment_sum([1, 1], target, [0, 0], [1, 1], 0) \
+            == len(supports)
 
 
 @pytest.mark.parametrize("point", [principal_point, ones_point])

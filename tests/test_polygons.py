@@ -1,6 +1,7 @@
 """Edge universes, crossing rules, and multidissection enumeration."""
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -487,6 +488,43 @@ laurent_values = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2),
                                  max_size=3).map(IntLaurentPoly)
 
 
+def reference_weighted_sum(weights, target, crosses, values, max_mult):
+    """The memoized sum before open sets: each call scans the edges from
+    `start` on, skipping the weightless, the too heavy and the blocked, and
+    memoizes on (start, remaining, blocked >> start)."""
+    size = len(weights)
+    memo = {}
+
+    def rec(start, remaining, blocked):
+        if remaining == 0:
+            return 1
+        chain = []
+        total = 0
+        for idx in range(start, size):
+            if not 0 < weights[idx] <= remaining or blocked >> idx & 1:
+                continue
+            key = (idx, remaining, blocked >> idx)
+            summed = memo.get(key)
+            if summed is not None:
+                total = summed
+                break
+            chain.append((idx, key))
+        for idx, key in reversed(chain):
+            w, value = weights[idx], values[idx]
+            top = remaining // w
+            if max_mult is not None:
+                top = min(top, max_mult)
+            below = blocked | crosses[idx]
+            power = 1
+            for m in range(1, top + 1):
+                power = power * value
+                total = total + power * rec(idx + 1, remaining - m * w, below)
+            memo[key] = total
+        return total
+
+    return rec(0, target, 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(weighted_systems(), st.integers(0, 6), st.sampled_from([None, 1, 2]),
        st.data())
@@ -497,14 +535,39 @@ def test_weighted_sum_matches_listing(system, target, max_mult, data):
     ints = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
     polys = data.draw(st.lists(laurent_values, min_size=size, max_size=size))
     for values in (ints, polys):
-        assert weighted_assignment_sum(weights, target, crosses, values,
-                                       max_mult) \
-            == listed_sum(weights, target, crosses, values, max_mult)
+        summed = weighted_assignment_sum(weights, target, crosses, values,
+                                         max_mult)
+        assert summed == listed_sum(weights, target, crosses, values, max_mult)
+        assert summed == reference_weighted_sum(weights, target, crosses,
+                                                values, max_mult)
     # at all-ones values the sum counts the supports
     assert weighted_assignment_sum(weights, target, crosses, [1] * size,
                                    max_mult) \
         == len(list(iter_weighted_assignments(weights, target, crosses,
                                               max_mult)))
+
+
+class CountedReads(list):
+    """A list that counts the reads of each index through []."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+def test_searches_look_only_at_edges_that_fit():
+    # the last edge weighs the whole target, so it fits only as the first
+    # choice: neither search reads its weight again after a lighter edge
+    # is taken, as a scan over every later edge would
+    for search in (lambda w: list(iter_weighted_assignments(w, 3, [0] * 4)),
+                   lambda w: weighted_assignment_sum(w, 3, [0] * 4, [1] * 4)):
+        weights = CountedReads([1, 1, 1, 3])
+        search(weights)
+        assert weights.reads[3] == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
