@@ -23,7 +23,7 @@ from .polygons import (
     enumerate_multidissections, iter_weighted_assignments,
     weighted_assignment_sum,
 )
-from .qseries import IntLaurentPoly, ZERO as Q_ZERO, _exact_int
+from .qseries import IntLaurentPoly, ZERO as Q_ZERO, _exact_int, _power
 from .symfunc import (
     as_point, character_A, character_C, character_D, ones_point,
 )
@@ -339,16 +339,8 @@ class XPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return XPoly.const(self.nrows, 1) if result is None else result
+        return _power(self, k, XPoly.const(self.nrows, 1),
+                      "negative power of a polynomial")
 
     def __eq__(self, other):
         if not isinstance(other, XPoly):

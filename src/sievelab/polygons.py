@@ -455,23 +455,25 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
     The values may lie in any commutative ring whose elements add to and
     multiply with the ints 0 and 1; the empty support contributes 1.  The
     sum over the supports drawn from an open set depends on (remaining,
-    open set) alone, so each such state is summed once; the memo is
-    dropped when the call returns.  Recursion goes one level per chosen
-    edge, so its depth stays within `target`.
+    open set) alone, so each such state is summed once, in the memo level
+    of its remaining weight, keyed by the open set; the memo is dropped
+    when the call returns.  Recursion goes one level per chosen edge, so
+    its depth stays within `target`.
     """
     target, cap, fits = _fits(weights, target, max_mult)
-    memo: dict[tuple, object] = {}
+    memo: list[dict[int, object]] = [{} for _ in range(target + 1)]
 
     def rec(open_: int, remaining: int):
         if not remaining:
             return 1
+        level = memo[remaining]
         # the open set's suffixes up to the first one already summed; each
         # is its lowest edge as first choice plus the suffix after it
         chain = []
-        while open_ and (remaining, open_) not in memo:
+        while open_ and open_ not in level:
             chain.append(open_)
             open_ &= open_ - 1
-        total = memo.get((remaining, open_), 0)
+        total = level.get(open_, 0)
         for open_ in reversed(chain):
             idx = (open_ & -open_).bit_length() - 1
             after = open_ & (open_ - 1) & ~crosses[idx]
@@ -481,10 +483,12 @@ def weighted_assignment_sum(weights, target: int, crosses, values,
                 power = power * value
                 rest = remaining - m * w
                 total = total + power * rec(after & fits[rest], rest)
-            memo[remaining, open_] = total
+            level[open_] = total
         return total
 
-    return rec(fits[target], target)
+    total = rec(fits[target], target)
+    del rec  # rec refers to itself; unbinding it frees the memo now
+    return total
 
 
 def enumerate_multidissections(family: str, n: int, k: int) -> list[Multidissection]:

@@ -56,7 +56,7 @@ class IntLaurentPoly:
         return dict(self._terms)
 
     def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        return self._terms.get(_exact_int(exponent, "exponent"), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -141,16 +141,7 @@ class IntLaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, ONE, "negative powers are not supported")
 
     def shift(self, s: int) -> "IntLaurentPoly":
         """Multiply by q**s."""
@@ -229,6 +220,23 @@ def _exact_int(x, what: str) -> int:
     return int(x)
 
 
+def _power(base, k: int, one, negative: str):
+    """base ** k by square and multiply, `one` at k = 0.  The exponent is
+    read through `_exact_int`; a negative one is a ValueError with the
+    message `negative`."""
+    k = _exact_int(k, "exponent")
+    if k < 0:
+        raise ValueError(negative)
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one if result is None else result
+
+
 def _coerce(value) -> IntLaurentPoly | None:
     """An operand as a polynomial: itself, or an int (not a bool) as a
     constant; None for anything else."""
@@ -295,7 +303,7 @@ def cyclotomic(m: int) -> IntLaurentPoly:
     """m-th cyclotomic polynomial, q^m - 1 divided by the cyclotomic
     polynomial of every proper divisor of m.  The last 64 results are
     kept; building one reads those of every divisor of m."""
-    if m < 1:
+    if _exact_int(m, "cyclotomic index") < 1:
         raise ValueError("cyclotomic index must be >= 1")
     p = {m: 1, 0: -1}
     for dd in range(1, m):
@@ -373,9 +381,9 @@ def eval_at_unity_root(p: IntLaurentPoly, m: int, d: int) -> RootEvaluation:
     g = gcd(m, d)
     m2 = m // g
     d2 = d // g
-    # zeta^d is a primitive m2-th root of unity, so exponents only matter
-    # mod m2, before and after q -> q^d2 (this also clears negative ones)
-    folded = p.fold_exponents(m2).subst_power(d2 % m2).fold_exponents(m2)
+    # zeta^d is a primitive m2-th root of unity, so q^e -> q^(e * d2) and
+    # exponents only matter mod m2 (this also clears negative ones)
+    folded = p._regroup(lambda e: e * d2 % m2)
     _, rem = _divmod_monic(folded._terms, cyclotomic(m2))
     residue = IntLaurentPoly._make(rem)
     if residue.is_constant():

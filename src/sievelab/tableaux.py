@@ -1,11 +1,11 @@
 """Two-row semistandard and seminoncrossing tableaux.
 
 A two-row semistandard tableau of shape (p, r) with entries bounded by n
-has weakly increasing rows and strictly increasing columns.  The
-seminoncrossing variant keeps strict columns but replaces column
-strictness ordering by a global pairwise noncrossing condition on the
-multiset of columns; it is in weight-preserving bijection with the
-multidissections of the n-gon.
+has weakly increasing rows and strictly increasing columns; it is listed
+as its pair of rows.  The seminoncrossing variant keeps strict columns
+but replaces column strictness ordering by a global pairwise noncrossing
+condition on the multiset of columns; it is in weight-preserving
+bijection with the multidissections of the n-gon.
 """
 
 from __future__ import annotations
@@ -30,68 +30,25 @@ def _content(entries, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-class TwoRowTableau:
-    """Rows stored as tuples; the second row may be shorter."""
-
-    __slots__ = ("row1", "row2")
-
-    def __init__(self, row1, row2):
-        self.row1 = tuple(row1)
-        self.row2 = tuple(row2)
-        if len(self.row2) > len(self.row1):
-            raise ValueError("second row longer than first")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row1), len(self.row2))
-
-    def columns(self) -> list[tuple[int, int]]:
-        return [(self.row1[c], self.row2[c]) for c in range(len(self.row2))]
-
-    def content(self, n: int) -> tuple[int, ...]:
-        return _content(self.row1 + self.row2, n)
-
-    def is_semistandard(self) -> bool:
-        rows_ok = all(a <= b for a, b in zip(self.row1, self.row1[1:])) and \
-            all(a <= b for a, b in zip(self.row2, self.row2[1:]))
-        cols_ok = all(self.row1[c] < self.row2[c] for c in range(len(self.row2)))
-        return rows_ok and cols_ok
-
-    def key(self):
-        return (self.row1, self.row2)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoRowTableau):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "TwoRowTableau(%r, %r)" % (list(self.row1), list(self.row2))
-
-
-def enumerate_ssyt(shape: tuple[int, int], n: int) -> list[TwoRowTableau]:
+def enumerate_ssyt(shape: tuple[int, int], n: int) -> list[tuple[tuple, tuple]]:
     """All two-row semistandard tableaux of the shape with entries in 1..n,
-    in lexicographic (row1, row2) order."""
+    as (row1, row2) pairs of tuples in lexicographic order."""
     p, r = (_exact_int(part, "shape row") for part in shape)
     n = _exact_int(n, "n")
     if r > p or r < 0:
         raise ValueError("shape must satisfy first >= second >= 0")
-    out = []
-    for row1 in combinations_with_replacement(range(1, n + 1), p):
-        for row2 in combinations_with_replacement(range(1, n + 1), r):
-            if all(row1[c] < row2[c] for c in range(r)):
-                out.append(TwoRowTableau(row1, row2))
-    return out
+    entries = range(1, n + 1)
+    return [(row1, row2)
+            for row1 in combinations_with_replacement(entries, p)
+            for row2 in combinations_with_replacement(entries, r)
+            if all(row1[c] < row2[c] for c in range(r))]
 
 
 def ssyt_content_counts(shape: tuple[int, int], n: int) -> tuple:
     """Distinct contents with multiplicities, in sorted order."""
     counter: dict[tuple[int, ...], int] = {}
-    for t in enumerate_ssyt(shape, n):
-        c = t.content(n)
+    for row1, row2 in enumerate_ssyt(shape, n):
+        c = _content(row1 + row2, n)
         counter[c] = counter.get(c, 0) + 1
     return tuple(sorted(counter.items()))
 

@@ -108,6 +108,10 @@ ENTRY_POINTS = [
     ("j_reduce n", lambda v: j_reduce(minor(1, 2, 3), v)),
     ("j_member n", lambda v: j_member(minor(1, 2, 3), v)),
     ("_factor_power n", lambda v: _factor_power("D", v, 0, 1)),
+    ("IntLaurentPoly power", lambda v: qseries.Q ** v),
+    ("IntLaurentPoly.coefficient exponent", lambda v: qseries.Q.coefficient(v)),
+    ("XPoly power", lambda v: minor(1, 2, 3) ** v),
+    ("cyclotomic index", lambda v: qseries.cyclotomic(v)),
     ("enumerate_ssyt row 1", lambda v: enumerate_ssyt((v, 0), 3)),
     ("enumerate_ssyt row 2", lambda v: enumerate_ssyt((2, v), 3)),
     ("enumerate_ssyt n", lambda v: enumerate_ssyt((1, 1), v)),

@@ -1,5 +1,6 @@
 """Edge universes, crossing rules, and multidissection enumeration."""
 
+import gc
 import math
 from collections import Counter
 from itertools import combinations
@@ -586,6 +587,42 @@ def test_weighted_sum_recursion_follows_the_chosen_edges():
     size = 3000
     assert weighted_assignment_sum([1] * size, 2, [0] * size, [1] * size) \
         == math.comb(size, 2) + size
+
+
+class Live:
+    """An int that counts its live instances."""
+
+    count = 0
+
+    def __init__(self, value):
+        self.value = value
+        Live.count += 1
+
+    def __del__(self):
+        Live.count -= 1
+
+    def __add__(self, other):
+        return Live(self.value + getattr(other, "value", other))
+
+    def __mul__(self, other):
+        return Live(self.value * getattr(other, "value", other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def test_weighted_sum_frees_its_memo_on_return():
+    # the memoized sums are freed when the call returns, not at a later
+    # garbage collection
+    size = 12
+    values = [Live(1) for _ in range(size)]
+    gc.disable()
+    try:
+        total = weighted_assignment_sum([1] * size, 4, [0] * size, values)
+        assert total.value == math.comb(size + 3, 4)
+        del total
+        assert Live.count == size
+    finally:
+        gc.enable()
 
 
 def test_weighted_sum_rejects_negative_weights():

@@ -16,6 +16,7 @@ from sievelab.qseries import (
     IntLaurentPoly,
     RootEvaluation,
     cyclotomic,
+    _divmod_monic,
     _factor_steps,
     eval_at_unity_root,
     q_binomial,
@@ -166,6 +167,28 @@ def test_eval_at_unity_root_matches_complex_evaluation(p, m, d):
         zeta = cmath.exp(2j * cmath.pi / ev.order)
         got = sum(c * zeta ** e for e, c in ev.residue.terms.items())
     assert abs(want - got) < ROOT_TOLERANCE
+
+
+def three_pass_evaluation(p, m, d):
+    """eval_at_unity_root by three exponent passes: fold mod m', substitute
+    q -> q^(d' mod m'), fold mod m' again; then reduce mod the m'-th
+    cyclotomic polynomial."""
+    g = math.gcd(m, d)
+    m2, d2 = m // g, d // g
+    folded = p.fold_exponents(m2).subst_power(d2 % m2).fold_exponents(m2)
+    residue = IntLaurentPoly(_divmod_monic(folded.terms, cyclotomic(m2))[1])
+    if residue.is_constant():
+        return RootEvaluation(residue.constant_value())
+    return RootEvaluation(None, residue, m2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys, st.integers(1, 12), st.integers(-24, 24))
+@example(IntLaurentPoly({-5: 2, 0: 1, 4: -3}), 6, 0)
+@example(IntLaurentPoly({-7: 1, -1: 2, 3: 1}), 10, -4)
+def test_eval_at_unity_root_matches_three_passes(p, m, d):
+    # one pass of e -> e * d' mod m' gives the same value as the three
+    assert eval_at_unity_root(p, m, d) == three_pass_evaluation(p, m, d)
 
 
 def test_degree_valuation_shift():

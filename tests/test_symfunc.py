@@ -37,9 +37,9 @@ def brute_schur(shape, point, n):
     """Weight sum over explicitly generated semistandard tableaux."""
     from sievelab.tableaux import enumerate_ssyt
     total = ZERO
-    for t in enumerate_ssyt(shape, n):
+    for row1, row2 in enumerate_ssyt(shape, n):
         term = ONE
-        for x in t.row1 + t.row2:
+        for x in row1 + row2:
             term = term * point[x - 1]
         total = total + term
     return total

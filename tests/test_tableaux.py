@@ -14,7 +14,7 @@ from sievelab.polygons import (
 )
 from sievelab.tableaux import (
     SNCTableau,
-    TwoRowTableau,
+    _content,
     content_equinumerosity,
     enumerate_sncr,
     enumerate_ssyt,
@@ -67,14 +67,23 @@ def brute_ssyt(shape, n):
     return found
 
 
-@pytest.mark.parametrize("shape,n", [
+BRUTE_FORCE_SHAPES = [
     ((1, 1), 3), ((2, 2), 3), ((2, 2), 4), ((3, 2), 3), ((2, 0), 4),
     ((3, 3), 4), ((2, 1), 5),
-])
+]
+
+
+@pytest.mark.parametrize("shape,n", BRUTE_FORCE_SHAPES)
 def test_enumerate_ssyt_matches_brute_force(shape, n):
-    got = {(t.row1, t.row2) for t in enumerate_ssyt(shape, n)}
-    assert got == brute_ssyt(shape, n)
-    assert all(t.is_semistandard() for t in enumerate_ssyt(shape, n))
+    # the same row pairs, in lexicographic order
+    assert enumerate_ssyt(shape, n) == sorted(brute_ssyt(shape, n))
+
+
+@pytest.mark.parametrize("shape,n", BRUTE_FORCE_SHAPES)
+def test_ssyt_content_counts_match_brute_force(shape, n):
+    want = Counter(tuple(row1.count(x) + row2.count(x) for x in range(1, n + 1))
+                   for row1, row2 in brute_ssyt(shape, n))
+    assert ssyt_content_counts(shape, n) == tuple(sorted(want.items()))
 
 
 def test_ssyt_rectangular_count_formula():
@@ -95,13 +104,16 @@ def test_enumerate_ssyt_rejects_bad_shape():
 
 def test_content_rejects_entries_outside_one_to_n():
     # an entry 0 must not land on vertex n through index -1, and an entry
-    # above n is a ValueError, not an IndexError
-    for t in (SNCTableau([(0, 2)]), SNCTableau([(1, 5)]),
-              TwoRowTableau([0], [1]), TwoRowTableau([1, 1], [4])):
+    # above n is a ValueError, not an IndexError; a row pair's content is
+    # that of its two rows' entries
+    for entries in ((0, 2), (1, 5)):
         with pytest.raises(ValueError, match="outside 1..3"):
-            t.content(3)
+            SNCTableau([entries]).content(3)
+    for row1, row2 in (((0,), (1,)), ((1, 1), (4,))):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            _content(row1 + row2, 3)
     assert SNCTableau([(1, 3), (1, 3)]).content(3) == (2, 0, 2)
-    assert TwoRowTableau([1, 3], [3]).content(3) == (1, 0, 2)
+    assert _content((1, 3) + (3,), 3) == (1, 0, 2)
 
 
 def test_is_valid_rejects_entries_below_one():
@@ -109,17 +121,6 @@ def test_is_valid_rejects_entries_below_one():
     assert not SNCTableau([(-1, 2), (2, 3)]).is_valid()
     assert not SNCTableau([(2, 2)]).is_valid()
     assert SNCTableau([(1, 2), (2, 3)]).is_valid()
-
-
-def test_tableau_basics():
-    t = TwoRowTableau([1, 2, 2], [2, 3])
-    assert t.shape == (3, 2)
-    assert t.columns() == [(1, 2), (2, 3)]
-    assert t.content(4) == (1, 3, 1, 0)
-    assert t.is_semistandard()
-    assert not TwoRowTableau([2], [2]).is_semistandard()
-    with pytest.raises(ValueError):
-        TwoRowTableau([1], [2, 3])
 
 
 def test_ssyt_content_counts():
